@@ -157,6 +157,7 @@ def _cmd_singleton(cfg, out_dir, args):
     result = find_singleton(
         params, grid, tol=cfg.solver.tol, maxT=cfg.solver.T,
         n_probes=cfg.solver.n_probes, h=cfg.solver.h, constants=constants,
+        cfl_safety=cfg.solver.cfl_safety, blowup_guard=cfg.solver.blowup_guard,
     )
     log_path = os.path.join(out_dir, "contraction_log.csv")
     write_csv(log_path, ("t", "max_pairwise_dist", "drift"), result.contraction_log)
@@ -185,6 +186,7 @@ def _cmd_pullback(cfg, out_dir, args):
         params, noise, cfg.solver.t_pull, cfg.solver.h,
         grid=grid, v0=build_field(cfg.solver.initial, grid),
         validate=True, pullback_tol=cfg.solver.pullback_tol,
+        cfl_safety=cfg.solver.cfl_safety, blowup_guard=cfg.solver.blowup_guard,
     )
     field_path = os.path.join(out_dir, "pullback_sample.cbff")
     write_field(field_path, sample.state)
@@ -222,6 +224,7 @@ def _cmd_sweep(cfg, out_dir, args):
         pullback_tol=cfg.solver.pullback_tol, singleton_tol=cfg.solver.tol,
         singleton_maxT=cfg.solver.T, n_probes=cfg.solver.n_probes,
         constants=constants, workers=args.workers,
+        cfl_safety=cfg.solver.cfl_safety, blowup_guard=cfg.solver.blowup_guard,
     )
     rec_path = os.path.join(out_dir, "records.csv")
     write_csv(

@@ -190,7 +190,6 @@ class SolverSection:
     cfl_safety: float = 0.4
     blowup_guard: float = 1.0e6
     n_probes: int = 3
-    sample_every: int = 0
     initial: object = field(default_factory=NoneSpec)
 
 
@@ -372,6 +371,8 @@ def validate_config(cfg: RunConfig) -> list:
         p.append(f"solver.pullback_tol: must be positive, got {sv.pullback_tol}")
     if not (0.0 < sv.cfl_safety <= 1.0):
         p.append(f"solver.cfl_safety: must lie in (0, 1], got {sv.cfl_safety}")
+    if not sv.blowup_guard > 0:
+        p.append(f"solver.blowup_guard: must be positive, got {sv.blowup_guard}")
     if sv.n_probes < 2:
         p.append(f"solver.n_probes: must be >= 2, got {sv.n_probes}")
     for name, val in (("c1", cs.c1), ("c2", cs.c2), ("c3", cs.c3)):

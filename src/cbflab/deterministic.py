@@ -6,6 +6,9 @@ explicit two-stage Runge-Kutta (Heun) stage, so the overall order is two and
 there is no stiff diffusive step restriction.  An advective CFL guard aborts
 instead of sub-stepping, which keeps trajectories bit-reproducible for a
 given (initial data, h).
+
+The integrator state lives in the rfft half layout (see `grid`); states
+enter and leave `drive` in the full layout.
 """
 
 from __future__ import annotations
@@ -19,14 +22,7 @@ from .conditions import ConditionReport, check_singleton_condition, default_regi
 from .errors import BlowUpError, CFLViolationError, ValidationError
 from .fields import SpectralVelocity, random_field
 from .grid import TorusGrid
-from .operators import (
-    bilinear_kernel,
-    damping_kernel,
-    h_norm_kernel,
-    inner_h_kernel,
-    lr_norm_kernel,
-    v_norm_kernel,
-)
+from .operators import h_norm_kernel, lr_norm_kernel, nonlinear_kernel
 from .params import EstimateConstants, PhysicsParams
 
 logger = logging.getLogger(__name__)
@@ -64,30 +60,28 @@ class Trajectory:
 
 
 def _deterministic_rhs(grid, params, f_coeffs):
-    """Right-hand side f - B(u) - beta C(u) - darcy u, with a CFL diagnostic.
+    """Half-layout right-hand side f - B(u) - beta C(u) - darcy u, with a CFL diagnostic.
 
     Terms that are identically zero are skipped rather than added, so reduced
     settings (beta = 0, f = 0, darcy = 0) execute exactly the arithmetic of
     the reduced equation.
     """
     beta, r, darcy = params.beta, params.r, params.darcy
+    f_half = None if f_coeffs is None else grid.to_half(f_coeffs)
 
-    def rhs(coeffs):
-        adv, vmax = bilinear_kernel(grid, coeffs)
-        out = -adv
-        if beta != 0.0:
-            out -= beta * damping_kernel(grid, coeffs, r)
+    def rhs(u):
+        nl, vmax = nonlinear_kernel(grid, u, 1.0, beta, r)
+        out = -nl if f_half is None else f_half - nl
         if darcy != 0.0:
-            out -= darcy * coeffs
-        if f_coeffs is not None:
-            out += f_coeffs
+            out -= darcy * u
         return out, vmax
 
     return rhs
 
 
 def integrating_factor(grid: TorusGrid, mu: float, h: float) -> np.ndarray:
-    return np.exp(-(mu * grid.lambda1 * h) * grid.k2)
+    """exp(-mu A h) on the half layout."""
+    return np.exp(-(mu * grid.lambda1 * h) * grid.half_k2)
 
 
 def drive(
@@ -107,15 +101,18 @@ def drive(
 ):
     """Integrating-factor Heun loop shared by every solver in the package.
 
-    ``rhs(coeffs, step_index)`` returns (tendency, vmax); it is evaluated at
-    the step's left endpoint for both stages, so any time dependence is
-    treated as frozen within a step.  Returns a Trajectory whose states hold
-    the initial state, every ``sample_every``-th step and the final state.
+    ``u0_coeffs`` and ``f_coeffs`` are full-layout; the loop runs on their
+    half-layout copies, and ``rhs(u_half, step_index)`` returns the
+    half-layout (tendency, vmax).  The tendency is evaluated at the step's
+    left endpoint for both stages, so any time dependence is treated as
+    frozen within a step.  Returns a Trajectory whose states (full layout,
+    mirror rebuilt once per snapshot) hold the initial state, every
+    ``sample_every``-th step and the final state.
     """
     if h <= 0:
         raise ValidationError(f"solver.h: step must be positive, got {h}")
     ex = integrating_factor(grid, mu, h)
-    u = np.array(u0_coeffs)
+    u = grid.to_half(u0_coeffs)
     n_rec = n_steps + 1
     t_arr = t0 + h * np.arange(n_rec)
     hn = np.empty(n_rec)
@@ -128,16 +125,25 @@ def drive(
         lr_norm=lr, r=record_lr if record_lr is not None else 0.0,
     )
 
-    def record(i, coeffs):
-        hn[i] = h_norm_kernel(grid, coeffs)
-        vn[i] = v_norm_kernel(grid, coeffs)
-        fu[i] = 0.0 if f_coeffs is None else inner_h_kernel(grid, f_coeffs, coeffs)
-        if lr is not None:
-            lr[i] = lr_norm_kernel(grid, coeffs, record_lr)
+    # Parseval weights of the half layout for |u|_H^2, |u|_V^2 and (f, u)
+    h_weight = grid.volume() * grid.half_weight
+    v_weight = (grid.lambda1 * grid.half_k2) * h_weight
+    f_weight = None if f_coeffs is None else h_weight * grid.to_half(f_coeffs)
 
-    def snapshot(i, coeffs):
+    def power(c):
+        return np.sum(c.real**2 + c.imag**2, axis=0)
+
+    def record(i, c):
+        p = power(c)
+        hn[i] = np.sqrt(np.vdot(h_weight, p))
+        vn[i] = np.sqrt(np.vdot(v_weight, p))
+        fu[i] = 0.0 if f_weight is None else np.vdot(f_weight, c).real
+        if lr is not None:
+            lr[i] = lr_norm_kernel(grid, c, record_lr)
+
+    def snapshot(i, c):
         traj.sample_times.append(float(t_arr[i]))
-        traj.states.append(SpectralVelocity(grid, np.array(coeffs)))
+        traj.states.append(SpectralVelocity(grid, grid.to_full(c)))
 
     record(0, u)
     snapshot(0, u)
@@ -166,7 +172,7 @@ def drive(
             snapshot(i, u)
     snapshot(n_steps, u)
     if prev is not None:
-        traj.last_drift = h_norm_kernel(grid, u - prev) / h
+        traj.last_drift = float(np.sqrt(np.vdot(h_weight, power(u - prev)))) / h
     return traj
 
 
@@ -259,6 +265,7 @@ def find_singleton(
     regime: str | None = None,
     allow_unverified: bool = False,
     cfl_safety: float = DEFAULT_CFL_SAFETY,
+    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
 ) -> SingletonResult:
     """
     Contract several independent trajectories onto the attractor point.
@@ -307,7 +314,7 @@ def find_singleton(
         for c in states:
             traj = drive(
                 grid, c, lambda x, n: rhs_u(x), params.mu, h, chunk_steps,
-                cfl_safety=cfl_safety, f_coeffs=f_coeffs,
+                cfl_safety=cfl_safety, blowup_guard=blowup_guard, f_coeffs=f_coeffs,
             )
             new_states.append(traj.final_state.coeffs)
             drifts.append(traj.last_drift)

@@ -16,8 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import check_singleton_condition, default_regime
-from .deterministic import SingletonResult, find_singleton, probe_field, simulate
-from .errors import ValidationError
+from .deterministic import (
+    DEFAULT_BLOWUP_GUARD,
+    DEFAULT_CFL_SAFETY,
+    SingletonResult,
+    find_singleton,
+    probe_field,
+    simulate,
+)
+from .errors import NonConvergenceError, ValidationError
 from .fields import SpectralVelocity
 from .grid import TorusGrid
 from .operators import h_distance, h_norm_kernel
@@ -155,6 +162,8 @@ def rate_sweep(
     n_probes: int = 3,
     constants: EstimateConstants | None = None,
     workers: int = 1,
+    cfl_safety: float = DEFAULT_CFL_SAFETY,
+    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
 ) -> SweepResult:
     """
     Measure dist_H(attractor sample, a_star) on a grid of noise intensities.
@@ -162,7 +171,9 @@ def rate_sweep(
     The deterministic singleton is computed once with the same step size h;
     each seed then produces one coupled pullback sample per epsilon.  The
     pullback horizon is validated by the halving test at the largest epsilon
-    for every seed, and only converged records enter the fit.
+    for every seed, and only converged records enter the fit.  A singleton
+    search that does not converge raises NonConvergenceError carrying its
+    contraction log.
     """
     check_sweep_regime(mode, grid.dim, params.r)
     eps_grid = sorted({float(e) for e in eps_grid}, reverse=True)
@@ -181,9 +192,13 @@ def rate_sweep(
     singleton = find_singleton(
         params, grid, tol=singleton_tol, maxT=singleton_maxT,
         n_probes=n_probes, h=h, constants=constants,
+        cfl_safety=cfl_safety, blowup_guard=blowup_guard,
     )
     if not singleton.converged:
-        raise ValidationError("sweep: singleton search did not converge; raise maxT")
+        raise NonConvergenceError(
+            "sweep: singleton search did not converge; raise maxT",
+            log=singleton.contraction_log,
+        )
     a_star = singleton.a_star
 
     seeds = [base_seed + seed_offset + i for i in range(n_samples)]
@@ -198,6 +213,7 @@ def rate_sweep(
             sample = pullback_sample(
                 params, noise, t_pull, h, seed,
                 grid=grid, validate=(i == 0), pullback_tol=pullback_tol,
+                cfl_safety=cfl_safety, blowup_guard=blowup_guard,
             )
             if i == 0:
                 converged = sample.converged

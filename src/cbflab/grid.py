@@ -1,9 +1,20 @@
-"""Periodic-box discretization and Fourier lattice bookkeeping."""
+"""Periodic-box discretization and Fourier lattice bookkeeping.
+
+Two coefficient layouts share one lattice.  The full layout ``(dim, N, ..., N)``
+holds every retained mode and is what ``SpectralVelocity``, trajectories and
+``.cbff`` files carry.  The half layout ``(dim, N, ..., N, N/2 + 1)`` is the
+rfft half spectrum: only nonnegative last-axis frequencies are stored, the
+rest being their conjugate mirrors.  The time integrators keep their state in
+the half layout; ``to_half`` and ``to_full`` convert at the API boundary, and
+the mirror is rebuilt only there.  Padding and truncation move the 2^(dim-1)
+frequency corner blocks with contiguous slice copies in either direction.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,10 +54,18 @@ class TorusGrid:
     L: float = 2.0 * math.pi
     dealias_factor: float = QUADRATIC_PAD
 
-    # caches populated in __post_init__
+    # caches populated in __post_init__; every array is read-only
     k: np.ndarray = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     mask: np.ndarray = field(init=False, repr=False, compare=False)
+    #: half-layout wavevectors and |k|^2
+    half_k: np.ndarray = field(init=False, repr=False, compare=False)
+    half_k2: np.ndarray = field(init=False, repr=False, compare=False)
+    #: how many full-layout modes each half-layout entry stands for: 1 on the
+    #: zero-frequency plane, 2 elsewhere, 0 off the retained lattice
+    half_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Leray projector mask (I - k k^T / |k|^2) on the half layout, (dim, dim, ...)
+    projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         problems = []
@@ -72,11 +91,25 @@ class TorusGrid:
         for axis_k in mesh:
             mask &= np.abs(axis_k) < self.N // 2
         mask[(0,) * self.dim] = False
-        for arr in (k, k2, mask):
+
+        half = (...,) + (slice(0, self.N // 2 + 1),)
+        half_k = np.array(k[half])
+        half_k2 = np.array(k2[half])
+        half_mask = mask[half]
+        half_weight = np.where(half_mask, 2.0, 0.0)
+        half_weight[..., 0] *= 0.5
+        unit = np.divide(half_k, np.sqrt(half_k2), out=np.zeros_like(half_k), where=half_mask)
+        projector = half_mask * (
+            np.eye(self.dim).reshape((self.dim, self.dim) + (1,) * self.dim)
+            - unit[:, None] * unit[None, :]
+        )
+        caches = {
+            "k": k, "k2": k2, "mask": mask, "half_k": half_k, "half_k2": half_k2,
+            "half_weight": half_weight, "projector": projector,
+        }
+        for name, arr in caches.items():
             arr.flags.writeable = False
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "mask", mask)
+            object.__setattr__(self, name, arr)
 
     # -- derived scalars ---------------------------------------------------
 
@@ -107,35 +140,69 @@ class TorusGrid:
             and self.L == other.L
         )
 
-    # -- padded-lattice plumbing --------------------------------------------
+    @property
+    def half_shape(self) -> tuple:
+        """Lattice shape of one component in the half layout."""
+        return (self.N,) * (self.dim - 1) + (self.N // 2 + 1,)
+
+    # -- layouts -------------------------------------------------------------
+
+    def to_half(self, coeffs: np.ndarray) -> np.ndarray:
+        """Half-layout copy of full-layout coefficients.
+
+        The zero-frequency plane is symmetrized, so the result is exactly
+        Hermitian; on an exactly Hermitian input this changes no bit.
+        """
+        half = np.array(coeffs[..., : self.N // 2 + 1])
+        self.symmetrize_plane(half)
+        return half
+
+    def to_full(self, half: np.ndarray) -> np.ndarray:
+        """Full-layout coefficients rebuilt from the half layout by conjugate mirroring."""
+        n2 = self.N // 2
+        out = np.empty(half.shape[:-1] + (self.N,), dtype=complex)
+        out[..., : n2 + 1] = half
+        out[..., n2 + 1 :] = np.conj(
+            _negate_axes(half[..., n2 - 1 : 0 : -1], range(-self.dim, -1))
+        )
+        return out
+
+    def symmetrize_plane(self, half: np.ndarray) -> None:
+        """Make the zero-frequency plane of a half-layout array exactly Hermitian, in place."""
+        plane = half[..., 0]
+        plane[...] = 0.5 * (plane + np.conj(_negate_axes(plane, range(1 - self.dim, 0))))
+
+    # -- padded-lattice plumbing ---------------------------------------------
     #
     # Physical fields are real, so transforms run through rfftn/irfftn on a
     # half-spectrum whose last axis keeps only nonnegative frequencies.
-    # Padding and truncation move the 2^dim frequency corner blocks with
-    # contiguous slice copies.
 
     def padded_size(self, factor: float) -> int:
         m = math.ceil(self.N * factor)
         return m + (m % 2)
 
-    def _block_pairs(self, m: int):
-        """(source, destination) slice pairs for the low/high frequency blocks."""
-        n2 = self.N // 2
-        pos = (slice(0, n2), slice(0, n2))
-        neg = (slice(n2 + 1, self.N), slice(m - n2 + 1, m))
-        return pos, neg
-
     def pad_half(self, coeffs: np.ndarray, m: int) -> np.ndarray:
-        """Embed retained coefficients into the rfft half-lattice of size m."""
-        pos, neg = self._block_pairs(m)
+        """Embed retained coefficients into the rfft half-lattice of size m.
+
+        ``coeffs`` may be in the full or the half layout: only nonnegative
+        last-axis frequencies are read.
+        """
         out = np.zeros(
             coeffs.shape[: -self.dim] + (m,) * (self.dim - 1) + (m // 2 + 1,),
             dtype=complex,
         )
-        for combo in np.ndindex(*((2,) * (self.dim - 1))):
-            src = tuple((pos, neg)[c][0] for c in combo) + (pos[0],)
-            dst = tuple((pos, neg)[c][1] for c in combo) + (pos[1],)
-            out[(...,) + dst] = coeffs[(...,) + src]
+        for small, padded in _blocks(self.N, self.dim, m):
+            out[padded] = coeffs[small]
+        return out
+
+    def truncate_half(self, spectrum: np.ndarray, m: int) -> np.ndarray:
+        """Half-layout block copy of the retained modes of an rfft m-lattice spectrum.
+
+        No scaling and no symmetrization: the caller owns both.
+        """
+        out = np.zeros(spectrum.shape[: -self.dim] + self.half_shape, dtype=complex)
+        for small, padded in _blocks(self.N, self.dim, m):
+            out[small] = spectrum[padded]
         return out
 
     def to_phys(self, coeffs: np.ndarray, factor: float = 1.0) -> tuple:
@@ -143,7 +210,8 @@ class TorusGrid:
 
         Returns (values, m) where values is real with lattice size m per axis.
         Coefficients follow the convention u(x) = sum_k u_k exp(2 pi i k.x/L),
-        i.e. an unnormalized forward transform and 1/m^dim inverse.
+        i.e. an unnormalized forward transform and 1/m^dim inverse; either
+        layout is accepted, as in ``pad_half``.
         """
         m = self.padded_size(factor) if factor > 1.0 else self.N
         axes = tuple(range(-self.dim, 0))
@@ -152,39 +220,54 @@ class TorusGrid:
         return vals, m
 
     def from_phys(self, values: np.ndarray, m: int) -> np.ndarray:
-        """Retained-lattice coefficients of collocation values on an m-lattice.
+        """Retained-lattice full-layout coefficients of collocation values on an m-lattice.
 
-        The returned array is exactly Hermitian: the negative-frequency half
-        of the last axis is the conjugate mirror of the computed half, and
-        the zero-frequency plane is symmetrized.
+        The returned array is exactly Hermitian and its mean mode is zero.
         """
         axes = tuple(range(-self.dim, 0))
-        half = np.fft.rfftn(values, axes=axes) / float(m**self.dim)
-        pos, neg = self._block_pairs(m)
-        out = np.zeros(
-            values.shape[: -self.dim] + (self.N,) * self.dim, dtype=complex
-        )
-        for combo in np.ndindex(*((2,) * (self.dim - 1))):
-            src = tuple((pos, neg)[c][0] for c in combo) + (pos[0],)
-            dst = tuple((pos, neg)[c][1] for c in combo) + (pos[1],)
-            out[(...,) + src] = half[(...,) + dst]
-        plane = (slice(None),) * (out.ndim - 1) + (0,)
-        out[plane] = 0.5 * (
-            out[plane] + np.conj(_negate_last_axes(out[plane], self.dim - 1))
-        )
-        mirror = np.conj(self.negate_modes(out))
-        tail = (slice(None),) * (out.ndim - 1) + (slice(self.N // 2 + 1, self.N),)
-        out[tail] = mirror[tail]
-        out[..., ~self.mask] = 0.0
-        return out
+        spectrum = np.fft.rfftn(values, axes=axes)
+        half = self.truncate_half(spectrum, m) / float(m**self.dim)
+        self.symmetrize_plane(half)
+        half[(...,) + (0,) * self.dim] = 0.0
+        return self.to_full(half)
 
     def negate_modes(self, coeffs: np.ndarray) -> np.ndarray:
-        """Reindex an array by k -> -k on the FFT lattice."""
-        return _negate_last_axes(coeffs, self.dim)
+        """Reindex a full-layout array by k -> -k on the FFT lattice."""
+        return _negate_axes(coeffs, range(-self.dim, 0))
 
 
-def _negate_last_axes(arr: np.ndarray, n_axes: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _blocks(n: int, dim: int, m: int) -> tuple:
+    """(retained, padded) index pairs of the frequency corner blocks.
+
+    Each pair addresses the same modes on the n-lattice half layout and on the
+    rfft half-lattice of size m; the last axis keeps frequencies 0..n/2-1.
+    """
+    n2 = n // 2
+    pos = (slice(0, n2), slice(0, n2))
+    neg = (slice(n2 + 1, n), slice(m - n2 + 1, m))
+    pairs = []
+    for combo in np.ndindex(*((2,) * (dim - 1))):
+        ends = [(pos, neg)[c] for c in combo] + [pos]
+        pairs.append(
+            (
+                (Ellipsis,) + tuple(e[0] for e in ends),
+                (Ellipsis,) + tuple(e[1] for e in ends),
+            )
+        )
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=16)
+def _negated_index(n: int) -> np.ndarray:
+    idx = (-np.arange(n)) % n
+    idx.flags.writeable = False
+    return idx
+
+
+def _negate_axes(arr: np.ndarray, axes) -> np.ndarray:
+    """Reindex ``arr`` by k -> -k along each of ``axes`` (FFT ordering)."""
     out = arr
-    for ax in range(-n_axes, 0):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+    for ax in axes:
+        out = np.take(out, _negated_index(out.shape[ax]), axis=ax)
     return out

@@ -1,14 +1,18 @@
 """Spectral operators: Leray projection, Stokes operator, advection, damping, norms.
 
 All public entry points take and return `SpectralVelocity`; the `*_kernel`
-functions work on raw coefficient arrays and are shared with the time
-integrators, which avoid per-step object construction.
+functions work on raw full-layout coefficient arrays.  The time integrators
+call `nonlinear_kernel` instead, which works on the half layout (see
+`grid`): it evaluates advection in divergence form, d_i(u_i u_j), on the 3/2
+lattice and the damping |u|^(r-1) u on the 2x lattice, truncates both back
+by block copies, sums them and applies the grid's Leray projector once.  The
+full-layout `bilinear_kernel` and `damping_kernel` are thin wrappers over the
+same half-layout pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,41 +87,106 @@ def stokes_apply(u: SpectralVelocity) -> SpectralVelocity:
 
 
 # ---------------------------------------------------------------------------
+# Nonlinear terms on the half layout
+# ---------------------------------------------------------------------------
+
+def _project_half(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Apply mask (I - k k^T / |k|^2) to a half-layout vector field."""
+    out = grid.projector[:, 0] * half[0]
+    for j in range(1, grid.dim):
+        out += grid.projector[:, j] * half[j]
+    return out
+
+
+def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
+    """Unprojected, dealiased scale * d_i(u_i v_j) in the half layout, and max |u|.
+
+    For divergence-free u this is (u . grad) v.  The products are taken on
+    the 3/2-rule lattice; with v = u only the dim (dim + 1) / 2 distinct ones
+    are formed.  The zero-frequency plane is left unsymmetrized.
+    """
+    dim = grid.dim
+    m = grid.padded_size(max(grid.dealias_factor, QUADRATIC_PAD))
+    axes = tuple(range(-dim, 0))
+    shape = (m,) * dim
+    points = float(m**dim)
+    u = np.fft.irfftn(grid.pad_half(u_half, m), s=shape, axes=axes)
+    u *= points
+    if v_half is None:
+        v = u
+        pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    else:
+        v = np.fft.irfftn(grid.pad_half(v_half, m), s=shape, axes=axes)
+        v *= points
+        pairs = [(i, j) for i in range(dim) for j in range(dim)]
+    prods = np.empty((len(pairs),) + shape)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(u[i], v[j], out=prods[p])
+    flux = grid.truncate_half(np.fft.rfftn(prods, axes=axes), m)
+    grad = (2j * np.pi / grid.L * scale / points) * grid.half_k
+    out = np.zeros((dim,) + grid.half_shape, dtype=complex)
+    for p, (i, j) in enumerate(pairs):
+        out[j] += grad[i] * flux[p]
+        if v_half is None and i != j:
+            out[i] += grad[j] * flux[p]
+    return out, float(np.sqrt(np.max(np.sum(u * u, axis=0))))
+
+
+def _damping_half(grid: TorusGrid, u_half, r: float, scale: float = 1.0):
+    """Unprojected scale * |u|^(r-1) u in the half layout, from the 2x lattice (r > 1)."""
+    dim = grid.dim
+    m = grid.padded_size(max(grid.dealias_factor, DAMPING_PAD))
+    axes = tuple(range(-dim, 0))
+    points = float(m**dim)
+    u = np.fft.irfftn(grid.pad_half(u_half, m), s=(m,) * dim, axes=axes)
+    u *= points
+    weight = np.sum(u * u, axis=0)  # |u|^(r-1) is this to the power (r-1)/2
+    if r != 3.0:
+        weight = np.power(weight, 0.5 * (r - 1.0))
+    u *= weight
+    out = grid.truncate_half(np.fft.rfftn(u, axes=axes), m)
+    out *= scale / points
+    return out
+
+
+def nonlinear_kernel(grid: TorusGrid, u_half, adv_scale: float, damp_scale: float, r: float):
+    """P(adv_scale B(u) + damp_scale |u|^(r-1) u) for a half-layout state u.
+
+    The one nonlinear tendency of every integrator.  Advection comes from
+    the 3/2 lattice in divergence form, damping from the 2x lattice (skipped
+    when ``damp_scale`` is 0, and without transforms at r = 1); the sum has
+    its zero-frequency plane symmetrized, so the state stays exactly
+    Hermitian, and is projected once.  Returns (tendency, vmax) with vmax the
+    max pointwise |u| on the 3/2 lattice.
+    """
+    out, vmax = _advection_half(grid, u_half, scale=adv_scale)
+    if damp_scale != 0.0:
+        if r == 1.0:
+            out += damp_scale * u_half
+        else:
+            out += _damping_half(grid, u_half, r, damp_scale)
+    grid.symmetrize_plane(out)
+    return _project_half(grid, out), vmax
+
+
+# ---------------------------------------------------------------------------
 # Advection B(u, v) = P (u . grad) v
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _half_wavevectors(dim: int, m: int) -> np.ndarray:
-    """Integer mode numbers on the rfft half-lattice of size m."""
-    full = np.fft.fftfreq(m, d=1.0 / m)
-    half = np.arange(m // 2 + 1, dtype=float)
-    k = np.stack(np.meshgrid(*([full] * (dim - 1) + [half]), indexing="ij"))
-    k.flags.writeable = False
-    return k
+def _full_projected(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    grid.symmetrize_plane(half)
+    return grid.to_full(_project_half(grid, half))
 
 
 def bilinear_kernel(grid: TorusGrid, u_coeffs, v_coeffs=None):
-    """Dealiased pseudo-spectral (u . grad) v, projected.
+    """Dealiased pseudo-spectral (u . grad) v, projected, in the full layout.
 
     Returns (coeffs, vmax) where vmax is the max pointwise |u| on the padded
-    lattice, reused by the advective CFL guard.
+    lattice.
     """
-    factor = max(grid.dealias_factor, QUADRATIC_PAD)
-    m = grid.padded_size(factor)
-    axes = tuple(range(-grid.dim, 0))
-    scale = float(m**grid.dim)
-    shape = (m,) * grid.dim
-    u_half = grid.pad_half(u_coeffs, m)
-    u_phys = np.fft.irfftn(u_half, s=shape, axes=axes) * scale
-    v_half = u_half if v_coeffs is None else grid.pad_half(v_coeffs, m)
-    khalf = _half_wavevectors(grid.dim, m)
-    # all dim^2 derivatives d v_j / d x_i in one batched transform
-    dv_hat = (2j * np.pi / grid.L) * (khalf[None, :] * v_half[:, None])
-    dv = np.fft.irfftn(dv_hat, s=shape, axes=axes) * scale
-    advect = np.einsum("i...,ji...->j...", u_phys, dv)
-    coeffs = grid.from_phys(advect, m)
-    vmax = float(np.sqrt(np.max(np.sum(u_phys * u_phys, axis=0))))
-    return leray_kernel(grid, coeffs), vmax
+    v_half = None if v_coeffs is None else grid.to_half(v_coeffs)
+    adv, vmax = _advection_half(grid, grid.to_half(u_coeffs), v_half)
+    return _full_projected(grid, adv), vmax
 
 
 def bilinear_B(u: SpectralVelocity, v: SpectralVelocity | None = None) -> SpectralVelocity:
@@ -145,11 +214,7 @@ def damping_kernel(grid: TorusGrid, coeffs: np.ndarray, r: float) -> np.ndarray:
     if r == 1.0:
         # |u|^0 u = u on divergence-free input; skip the transform round trip
         return coeffs
-    u_phys, m = grid.to_phys(coeffs, max(grid.dealias_factor, DAMPING_PAD))
-    mag2 = np.sum(u_phys * u_phys, axis=0)
-    weight = np.power(mag2, 0.5 * (r - 1.0))
-    out = grid.from_phys(weight[None, ...] * u_phys, m)
-    return leray_kernel(grid, out)
+    return _full_projected(grid, _damping_half(grid, grid.to_half(coeffs), r))
 
 
 def damping_C(u: SpectralVelocity, r: float) -> SpectralVelocity:

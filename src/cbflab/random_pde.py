@@ -27,12 +27,7 @@ from .deterministic import (
 from .errors import ValidationError
 from .fields import SpectralVelocity, zero_velocity
 from .grid import TorusGrid
-from .operators import (
-    bilinear_kernel,
-    damping_kernel,
-    h_norm_kernel,
-    stokes_kernel,
-)
+from .operators import h_norm_kernel, nonlinear_kernel, stokes_kernel
 from .ou import OUPath, ou_path
 from .params import PhysicsParams
 
@@ -101,7 +96,7 @@ def _require_clean_params(params: PhysicsParams, grid: TorusGrid, mode: str) -> 
 
 
 def _additive_rhs(grid, params, noise, ou: OUPath, j0: int):
-    """Tendency of v' + mu A v + B(v + eps z Phi) + beta C(v + eps z Phi)
+    """Half-layout tendency of v' + mu A v + B(v + eps z Phi) + beta C(v + eps z Phi)
     = f + eps alpha z Phi - eps mu z A Phi, with z frozen per step."""
     eps = noise.epsilon
     f_coeffs = None if params.forcing is None else params.forcing.coeffs
@@ -109,29 +104,25 @@ def _additive_rhs(grid, params, noise, ou: OUPath, j0: int):
     if eps == 0.0:
         return lambda coeffs, n: det(coeffs)
 
-    phi = noise.phi.coeffs
-    a_phi = stokes_kernel(grid, phi)
-    alpha = noise.ou_alpha
+    phi = grid.to_half(noise.phi.coeffs)
+    # eps z times this is the noise's own drive, eps z (alpha Phi - mu A Phi)
+    a_phi = grid.to_half(stokes_kernel(grid, noise.phi.coeffs))
+    phi_drive = noise.ou_alpha * phi - params.mu * a_phi
+    f_half = None if f_coeffs is None else grid.to_half(f_coeffs)
     beta, r = params.beta, params.r
 
-    def rhs(coeffs, n):
-        z = ou.value_at_index(j0 + n)
-        shifted = coeffs + (eps * z) * phi
-        adv, vmax = bilinear_kernel(grid, shifted)
-        out = -adv
-        if beta != 0.0:
-            out -= beta * damping_kernel(grid, shifted, r)
-        if f_coeffs is not None:
-            out = out + f_coeffs
-        out += (eps * alpha * z) * phi
-        out -= (eps * params.mu * z) * a_phi
+    def rhs(v, n):
+        eps_z = eps * ou.value_at_index(j0 + n)
+        nl, vmax = nonlinear_kernel(grid, v + eps_z * phi, 1.0, beta, r)
+        out = -nl if f_half is None else f_half - nl
+        out += eps_z * phi_drive
         return out, vmax
 
     return rhs
 
 
 def _multiplicative_rhs(grid, params, noise, ou: OUPath, j0: int):
-    """Tendency of v' + mu A v + e^{eps z} B(v) + beta e^{eps (r-1) z} C(v)
+    """Half-layout tendency of v' + mu A v + e^{eps z} B(v) + beta e^{eps (r-1) z} C(v)
     = f e^{-eps z} + eps alpha z v, with z frozen per step."""
     eps = noise.epsilon
     f_coeffs = None if params.forcing is None else params.forcing.coeffs
@@ -139,21 +130,17 @@ def _multiplicative_rhs(grid, params, noise, ou: OUPath, j0: int):
     if eps == 0.0:
         return lambda coeffs, n: det(coeffs)
 
+    f_half = None if f_coeffs is None else grid.to_half(f_coeffs)
     alpha = noise.ou_alpha
     beta, r = params.beta, params.r
 
-    def rhs(coeffs, n):
+    def rhs(v, n):
         z = ou.value_at_index(j0 + n)
         ez = math.exp(eps * z)
-        adv, vmax = bilinear_kernel(grid, coeffs)
-        out = -ez * adv
-        if beta != 0.0:
-            out -= (beta * math.exp(eps * (r - 1.0) * z)) * damping_kernel(
-                grid, coeffs, r
-            )
-        if f_coeffs is not None:
-            out = out + math.exp(-eps * z) * f_coeffs
-        out += (eps * alpha * z) * coeffs
+        nl, vmax = nonlinear_kernel(grid, v, ez, beta * math.exp(eps * (r - 1.0) * z), r)
+        out = (eps * alpha * z) * v - nl
+        if f_half is not None:
+            out += math.exp(-eps * z) * f_half
         # advective CFL sees the reconstructed velocity u = e^{eps z} v
         return out, ez * vmax
 

@@ -180,3 +180,42 @@ def test_sweep_workers_deterministic(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out2), "--workers", "3"]) == 0
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
     assert (out1 / "fit.json").read_bytes() == (out2 / "fit.json").read_bytes()
+
+
+def test_singleton_honours_cfl_safety(tmp_path, capsys):
+    cfg = write(tmp_path, "c.cfg", BASE + "\n[solver]\nh = 0.02\nT = 1.0\ncfl_safety = 1e-9\n")
+    code = main(["singleton", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "CFL" in capsys.readouterr().err
+
+
+def test_pullback_honours_blowup_guard(tmp_path, capsys):
+    cfg = write(
+        tmp_path, "g.cfg",
+        BASE + "\n[noise]\nmode = multiplicative\nepsilon = 0.1\nou_alpha = 2.5\nseed = 1\n"
+        "\n[solver]\nh = 0.02\nt_pull = 2.0\nblowup_guard = 1e-3\n",
+    )
+    code = main(["pullback", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert "blow-up" in capsys.readouterr().err
+
+
+def test_sweep_honours_cfl_safety(tmp_path, capsys):
+    cfg = write(tmp_path, "sw.cfg", SWEEP + "cfl_safety = 1e-9\n")
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "CFL" in capsys.readouterr().err
+
+
+def test_negative_blowup_guard_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "b.cfg", BASE + "\n[solver]\nh = 0.01\nT = 0.1\nblowup_guard = -1\n")
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "solver.blowup_guard" in capsys.readouterr().err
+
+
+def test_sweep_singleton_nonconvergence_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "sw.cfg", SWEEP.replace("T = 60.0", "T = 0.5"))
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err

@@ -89,6 +89,21 @@ def test_unknown_key_rejected():
     assert any("unknown key solver.wormhole" in v for v in err.value.violations)
 
 
+def test_sample_every_rejected_as_unknown():
+    # snapshots are output.snapshot_every; the solver has no sampling key
+    with pytest.raises(ValidationError) as err:
+        parse_config(MINIMAL + "\n[solver]\nsample_every = 10\n")
+    assert any("unknown key solver.sample_every" in v for v in err.value.violations)
+    assert "sample_every" not in serialize_config(parse_config(MINIMAL))
+
+
+@pytest.mark.parametrize("guard", ["0", "-1", "nan"])
+def test_nonpositive_blowup_guard_rejected(guard):
+    with pytest.raises(ValidationError) as err:
+        parse_config(MINIMAL + f"\n[solver]\nblowup_guard = {guard}\n")
+    assert any("solver.blowup_guard" in v for v in err.value.violations)
+
+
 def test_round_trip_identity():
     text = (
         MINIMAL

@@ -6,15 +6,21 @@ import pytest
 from cbflab import (
     BlowUpError,
     CFLViolationError,
+    NoiseConfig,
     PhysicsParams,
+    SpectralVelocity,
     TorusGrid,
     ValidationError,
     energy_residual,
     find_singleton,
     h_norm,
+    ou_path,
     probe_field,
+    random_field,
     simulate,
     single_mode_field,
+    solve_additive_2d,
+    solve_multiplicative,
     zero_velocity,
 )
 from cbflab.operators import (
@@ -189,3 +195,54 @@ def test_darcy_term_accelerates_decay(grid2d_small):
     t1 = simulate(u0, base, T=1.0, h=0.01)
     t2 = simulate(u0, damped, T=1.0, h=0.01)
     assert t2.h_norm[-1] < t1.h_norm[-1] * math.exp(-1.5)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 16)])
+def test_half_layout_round_trip_bitwise(dim, n):
+    g = TorusGrid(dim=dim, N=n)
+    full = random_field(g, 61).coeffs
+    half = g.to_half(full)
+    assert half.shape == (dim,) + g.half_shape
+    # exact equality; only the sign of a zero in the mirrored half is not kept
+    assert np.array_equal(g.to_full(half), full)
+    rebuilt = g.to_full(half)
+    assert g.to_full(g.to_half(rebuilt)).tobytes() == rebuilt.tobytes()
+    assert g.to_half(rebuilt).tobytes() == half.tobytes()
+
+
+def _assert_exactly_hermitian(state):
+    g, c = state.grid, state.coeffs
+    plane = c[..., 0]
+    mirror = np.conj(np.flip(np.roll(plane, -1, axis=-1), axis=-1))
+    if g.dim == 3:
+        mirror = np.flip(np.roll(mirror, -1, axis=-2), axis=-2)
+    assert np.array_equal(plane, mirror)  # kz = 0 plane, bit for bit
+    assert np.array_equal(c, np.conj(g.negate_modes(c)))
+    SpectralVelocity(g, c)  # and it passes validation again
+
+
+def test_states_leaving_drive_are_hermitian(grid2d_small, grid3d):
+    f = single_mode_field(grid2d_small, (1, 1), (1.0, -1.0), h_norm=0.1)
+    p = PhysicsParams(mu=1.0, beta=1.0, r=3.0, forcing=f)
+    u0 = probe_field(grid2d_small, 6)
+    z = ou_path(3, 1.0, -1.0, 0.5, 0.01)
+    phi = random_field(grid2d_small, 42, kmax=4.0)
+    runs = [
+        simulate(u0, p, T=0.5, h=0.01, sample_every=10).states,
+        solve_additive_2d(
+            u0, p, NoiseConfig(mode="additive", epsilon=0.3, phi=phi, seed=3),
+            z, (0.0, 0.5), 0.01, sample_every=10,
+        ).v.states,
+        solve_multiplicative(
+            u0, p, NoiseConfig(mode="multiplicative", epsilon=0.3, seed=3),
+            z, (0.0, 0.5), 0.01, sample_every=10,
+        ).u_states,
+        simulate(
+            probe_field(grid3d, 6), PhysicsParams(mu=1.0, beta=1.0, r=3.0),
+            T=0.1, h=0.02, sample_every=2,
+        ).states,
+    ]
+    for states in runs:
+        assert len(states) >= 3
+        for state in states:
+            _assert_exactly_hermitian(state)
