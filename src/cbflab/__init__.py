@@ -26,7 +26,6 @@ from .experiments import (
     rate_sweep,
 )
 from .fields import (
-    PhysicalField,
     SpectralVelocity,
     random_field,
     read_field,
@@ -47,14 +46,13 @@ from .operators import (
     trilinear_b,
     v_norm,
 )
-from .ou import OUPath, WienerPath, ou_from_wiener, ou_path, ou_shift_eval, sample_wiener
+from .ou import OUPath, WienerPath, ou_from_wiener, ou_path, sample_wiener
 from .params import EstimateConstants, PhysicsParams
 from .random_pde import (
     NoiseConfig,
     PullbackSample,
     pullback_sample,
-    solve_additive_2d,
-    solve_multiplicative,
+    solve_transformed,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +68,6 @@ __all__ = [
     "NoiseConfig",
     "NonConvergenceError",
     "OUPath",
-    "PhysicalField",
     "PhysicsParams",
     "PullbackSample",
     "RateFit",
@@ -96,7 +93,6 @@ __all__ = [
     "norms",
     "ou_from_wiener",
     "ou_path",
-    "ou_shift_eval",
     "probe_field",
     "pullback_sample",
     "random_field",
@@ -106,8 +102,7 @@ __all__ = [
     "sample_wiener",
     "simulate",
     "single_mode_field",
-    "solve_additive_2d",
-    "solve_multiplicative",
+    "solve_transformed",
     "stokes_apply",
     "trilinear_b",
     "v_norm",

@@ -57,12 +57,18 @@ def _setup_logging():
 
 
 def _load_config_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        manifest = json.loads(text)
-        if "config_text" not in manifest:
+    """A config file's text, or the ``config_text`` of a run manifest."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    if text.lstrip().startswith("{"):
+        try:
+            manifest = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not a valid JSON manifest ({exc})") from exc
+        if not isinstance(manifest.get("config_text"), str):
             raise ValidationError(f"{path}: JSON file is not a run manifest")
         return manifest["config_text"]
     return text
@@ -223,7 +229,7 @@ def _cmd_sweep(cfg, out_dir, args):
         base_seed=cfg.noise.seed, seed_offset=args.seed_offset,
         pullback_tol=cfg.solver.pullback_tol, singleton_tol=cfg.solver.tol,
         singleton_maxT=cfg.solver.T, n_probes=cfg.solver.n_probes,
-        constants=constants, workers=args.workers,
+        constants=constants,
         cfl_safety=cfg.solver.cfl_safety, blowup_guard=cfg.solver.blowup_guard,
     )
     rec_path = os.path.join(out_dir, "records.csv")
@@ -381,7 +387,6 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="config file, or a manifest.json")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
     parser.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     args = parser.parse_args(argv)
@@ -400,6 +405,15 @@ def main(argv=None) -> int:
         return EXIT_BLOWUP
     except CBFError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        # Python float arithmetic raises on overflow and on a zero divisor, e.g.
+        # mu**2 at mu = 1e200 or the 3D eta3 power just above r = 3
+        print(
+            f"error: floating-point range exceeded ({exc}); a config value is "
+            "too large or too small to compute with",
+            file=sys.stderr,
+        )
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,10 +23,12 @@ import re
 from dataclasses import dataclass, field, fields as dc_fields
 
 from .errors import ValidationError
-from .fields import SpectralVelocity, random_field, read_field, single_mode_field
+from .fields import (
+    SpectralVelocity, random_field, read_field, rescale_to_h, single_mode_field,
+)
 from .grid import TorusGrid
-
-_MODES = ("none", "additive", "multiplicative")
+from .params import EstimateConstants, PhysicsParams
+from .random_pde import NoiseConfig
 
 
 # ---------------------------------------------------------------------------
@@ -122,29 +124,29 @@ def parse_field_spec(text: str, where: str, problems: list):
 
 
 def build_field(spec, grid: TorusGrid, h_norm_override: float | None = None):
-    """Materialize a field spec on a grid; None for the zero/none spec."""
+    """Materialize a field spec on a grid, rescaled to ``h_norm_override`` when
+    given; None for the zero/none spec."""
     if isinstance(spec, NoneSpec):
         return None
     if isinstance(spec, FileSpec):
-        u = read_field(spec.path, dealias_factor=grid.dealias_factor)
+        try:
+            u = read_field(spec.path, dealias_factor=grid.dealias_factor)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise ValidationError(f"field file {spec.path}: cannot read ({exc})") from exc
         if not u.grid.compatible(grid):
             raise ValidationError(f"field file {spec.path} has an incompatible grid")
-        return u
-    if isinstance(spec, RandomSpec):
+    elif isinstance(spec, RandomSpec):
         kmax = spec.kmax if spec.kmax > 0 else grid.N / 4.0
-        return random_field(grid, spec.seed, h_norm=spec.hnorm, kmax=kmax)
-    if isinstance(spec, ModesSpec):
+        u = random_field(grid, spec.seed, h_norm=spec.hnorm, kmax=kmax)
+    elif isinstance(spec, ModesSpec):
         total = None
         for k, a in spec.entries:
-            u = single_mode_field(grid, k, a)
-            total = u.coeffs if total is None else total + u.coeffs
+            coeffs = single_mode_field(grid, k, a).coeffs
+            total = coeffs if total is None else total + coeffs
         u = SpectralVelocity(grid, total)
-        if h_norm_override is not None:
-            from .fields import rescale_to_h
-
-            u = rescale_to_h(u, h_norm_override)
-        return u
-    raise ValidationError(f"unhandled field spec {spec!r}")
+    else:
+        raise ValidationError(f"unhandled field spec {spec!r}")
+    return u if h_norm_override is None else rescale_to_h(u, h_norm_override)
 
 
 # ---------------------------------------------------------------------------
@@ -302,38 +304,22 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> list:
-    """Cross-field checks mirroring every module precondition."""
-    p: list[str] = []
+    """Every violation in a parsed config.
+
+    The grid, physics, noise and constants rules are those of ``TorusGrid``,
+    ``PhysicsParams``, ``NoiseConfig`` and ``EstimateConstants``, checked on
+    the scalars without building a lattice; the rest are run settings that
+    no domain type owns.
+    """
     g, ph, nz, sv, cs = cfg.grid, cfg.physics, cfg.noise, cfg.solver, cfg.constants
-    if g.dim not in (2, 3):
-        p.append(f"grid.dim: must be 2 or 3, got {g.dim}")
-    if g.N % 2 or g.N < 8:
-        p.append(f"grid.N: must be even and >= 8, got {g.N}")
-    if not g.L > 0:
-        p.append(f"grid.L: must be positive, got {g.L}")
-    if not g.dealias_factor >= 1:
-        p.append(f"grid.dealias_factor: must be >= 1, got {g.dealias_factor}")
-    if not ph.mu > 0:
-        p.append(f"physics.mu: must be positive, got {ph.mu}")
-    if ph.beta < 0:
-        p.append(f"physics.beta: must be >= 0, got {ph.beta}")
-    if ph.r < 1:
-        p.append(f"physics.r: must be >= 1, got {ph.r}")
-    if ph.darcy < 0:
-        p.append(f"physics.darcy: must be >= 0, got {ph.darcy}")
-    if g.dim == 3:
-        if ph.r < 3:
-            p.append(f"physics.r: 3D requires r >= 3, got {ph.r}")
-        elif ph.r == 3 and 2.0 * ph.beta * ph.mu < 1.0:
-            p.append("physics.beta: 3D with r = 3 requires 2*beta*mu >= 1")
-    if nz.mode not in _MODES:
-        p.append(f"noise.mode: must be one of {_MODES}, got {nz.mode!r}")
-    if not (0.0 <= nz.epsilon <= 1.0):
-        p.append(f"noise.epsilon: must lie in [0, 1], got {nz.epsilon}")
+    p = TorusGrid.violations(g.dim, g.N, g.L, g.dealias_factor)
+    p += PhysicsParams.violations(ph.mu, ph.beta, ph.r, ph.darcy, g.dim)
+    p += NoiseConfig.violations(
+        nz.mode, nz.epsilon, nz.ou_alpha, not isinstance(nz.phi, NoneSpec), g.dim
+    )
+    p += EstimateConstants.violations(cs.c1, cs.c2, cs.c3)
     if any(not (0.0 < e <= 1.0) for e in nz.eps_grid):
         p.append(f"noise.eps_grid: entries must lie in (0, 1], got {nz.eps_grid}")
-    if not nz.ou_alpha > 0:
-        p.append(f"noise.ou_alpha: must be positive, got {nz.ou_alpha}")
     for where, spec in (
         ("physics.forcing", ph.forcing),
         ("noise.phi", nz.phi),
@@ -346,15 +332,6 @@ def validate_config(cfg: RunConfig) -> list:
                         f"{where}: mode {k} has {len(k)} components for a "
                         f"{g.dim}D grid"
                     )
-    if nz.mode == "additive":
-        if g.dim == 3:
-            p.append("noise.mode: additive noise is 2D only (no 3D additive theory)")
-        if isinstance(nz.phi, NoneSpec):
-            p.append("noise.phi: additive mode requires a noise profile")
-    if nz.mode == "multiplicative" and not isinstance(nz.phi, NoneSpec):
-        p.append("noise.phi: only meaningful for additive noise")
-    if nz.mode == "none" and nz.epsilon != 0.0:
-        p.append("noise.epsilon: mode 'none' requires epsilon = 0")
     if nz.mode != "none" and ph.darcy != 0.0:
         p.append("physics.darcy: random dynamics require darcy = 0")
     if nz.n_samples < 1:
@@ -375,9 +352,6 @@ def validate_config(cfg: RunConfig) -> list:
         p.append(f"solver.blowup_guard: must be positive, got {sv.blowup_guard}")
     if sv.n_probes < 2:
         p.append(f"solver.n_probes: must be >= 2, got {sv.n_probes}")
-    for name, val in (("c1", cs.c1), ("c2", cs.c2), ("c3", cs.c3)):
-        if not val > 0:
-            p.append(f"constants.{name}: must be positive, got {val}")
     if cfg.output.snapshot_every < 0:
         p.append("output.snapshot_every: must be >= 0")
     return p

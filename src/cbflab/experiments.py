@@ -10,7 +10,6 @@ least-squares line through (log eps, log mean distance).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +160,6 @@ def rate_sweep(
     singleton_maxT: float = 200.0,
     n_probes: int = 3,
     constants: EstimateConstants | None = None,
-    workers: int = 1,
     cfl_safety: float = DEFAULT_CFL_SAFETY,
     blowup_guard: float = DEFAULT_BLOWUP_GUARD,
 ) -> SweepResult:
@@ -201,11 +199,8 @@ def rate_sweep(
         )
     a_star = singleton.a_star
 
-    seeds = [base_seed + seed_offset + i for i in range(n_samples)]
-
-    def one_seed(seed: int):
-        recs = []
-        converged = True
+    records = []
+    for seed in range(base_seed + seed_offset, base_seed + seed_offset + n_samples):
         for i, eps in enumerate(eps_grid):
             noise = NoiseConfig(
                 mode=mode, epsilon=eps, phi=phi, ou_alpha=ou_alpha, seed=seed
@@ -222,7 +217,7 @@ def rate_sweep(
                         "seed %d: pullback horizon %g not stabilized (gap %.3e)",
                         seed, t_pull, sample.doubling_gap,
                     )
-            recs.append(
+            records.append(
                 SweepRecord(
                     epsilon=eps,
                     seed=seed,
@@ -233,14 +228,6 @@ def rate_sweep(
                     converged=converged,
                 )
             )
-        return recs
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(one_seed, seeds))
-    else:
-        per_seed = [one_seed(s) for s in seeds]
-    records = [rec for recs in per_seed for rec in recs]
     fit = fit_rate(records, mode, params.r)
     return SweepResult(
         records=records, fit=fit, a_star=a_star, singleton=singleton, t_pull=t_pull

@@ -17,6 +17,7 @@ REALITY_TOL = 1.0e-12
 
 _MAGIC = b"CBFF"
 _FORMAT_VERSION = 1
+_HEADER_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -75,32 +76,6 @@ class SpectralVelocity:
 
 def zero_velocity(grid: TorusGrid) -> SpectralVelocity:
     return SpectralVelocity(grid, np.zeros((grid.dim,) + grid.shape, dtype=complex))
-
-
-@dataclass(frozen=True)
-class PhysicalField:
-    """Collocation workspace: real point values on a (possibly padded) lattice."""
-
-    grid: TorusGrid
-    values: np.ndarray
-    lattice_size: int
-
-    def __post_init__(self):
-        expected = (self.grid.dim,) + (self.lattice_size,) * self.grid.dim
-        if self.values.shape != expected:
-            raise ValidationError(
-                f"point-value shape {self.values.shape}, expected {expected}"
-            )
-
-    def quadrature(self, integrand: np.ndarray) -> float:
-        """Collocation quadrature of a pointwise integrand on this lattice."""
-        w = (self.grid.L / self.lattice_size) ** self.grid.dim
-        return float(np.sum(integrand) * w)
-
-
-def to_physical(u: SpectralVelocity, factor: float = 1.0) -> PhysicalField:
-    vals, m = u.grid.to_phys(u.coeffs, factor)
-    return PhysicalField(u.grid, vals, m)
 
 
 def hermitianize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -194,6 +169,7 @@ def rescale_to_h(u: SpectralVelocity, target: float) -> SpectralVelocity:
 # Header: magic "CBFF", version uint32, then dim, N, L as little-endian
 # IEEE-754 doubles.  Payload: the complex coefficient array in row-major
 # lattice order with the component index fastest, little-endian doubles.
+# A file is exactly 32 + 16 dim N^dim bytes long.
 
 
 def write_field(path, u: SpectralVelocity) -> None:
@@ -211,15 +187,27 @@ def write_field(path, u: SpectralVelocity) -> None:
 def read_field(path, dealias_factor: float = 1.5) -> SpectralVelocity:
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < _HEADER_BYTES:
+        raise ValidationError(f"{path}: {len(blob)} bytes, shorter than the snapshot header")
     if blob[:4] != _MAGIC:
         raise ValidationError(f"{path}: bad magic, not a field snapshot")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != _FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported snapshot version {version}")
     dim_f, n_f, L = struct.unpack_from("<3d", blob, 8)
+    if not (dim_f.is_integer() and n_f.is_integer()):
+        raise ValidationError(f"{path}: header dim {dim_f!r} and N {n_f!r} must be integers")
     dim, n = int(dim_f), int(n_f)
-    grid = TorusGrid(dim=dim, N=n, L=L, dealias_factor=dealias_factor)
+    problems = TorusGrid.violations(dim, n, L, dealias_factor)
+    if problems:
+        raise ValidationError([f"{path}: header {v}" for v in problems])
     count = dim * n**dim
-    flat = np.frombuffer(blob, dtype="<c16", offset=8 + 24, count=count)
+    if len(blob) != _HEADER_BYTES + 16 * count:
+        raise ValidationError(
+            f"{path}: {len(blob)} bytes, expected {_HEADER_BYTES + 16 * count} "
+            f"for dim = {dim}, N = {n}"
+        )
+    grid = TorusGrid(dim=dim, N=n, L=L, dealias_factor=dealias_factor)
+    flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER_BYTES, count=count)
     coeffs = np.moveaxis(flat.reshape((n,) * dim + (dim,)), -1, 0)
     return SpectralVelocity(grid, coeffs.astype(complex))

@@ -67,18 +67,22 @@ class TorusGrid:
     #: Leray projector mask (I - k k^T / |k|^2) on the half layout, (dim, dim, ...)
     projector: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @staticmethod
+    def violations(dim, N, L, dealias_factor) -> list:
+        """Every violated grid rule; checks the scalars without building the lattice."""
         problems = []
-        if self.dim not in (2, 3):
-            problems.append(f"grid.dim: must be 2 or 3, got {self.dim}")
-        if self.N % 2 != 0 or self.N < 8:
-            problems.append(f"grid.N: must be even and >= 8, got {self.N}")
-        if not (self.L > 0):
-            problems.append(f"grid.L: must be positive, got {self.L}")
-        if not (self.dealias_factor >= 1.0):
-            problems.append(
-                f"grid.dealias_factor: must be >= 1, got {self.dealias_factor}"
-            )
+        if dim not in (2, 3):
+            problems.append(f"grid.dim: must be 2 or 3, got {dim}")
+        if N % 2 != 0 or N < 8:
+            problems.append(f"grid.N: must be even and >= 8, got {N}")
+        if not (L > 0):
+            problems.append(f"grid.L: must be positive, got {L}")
+        if not (dealias_factor >= 1.0):
+            problems.append(f"grid.dealias_factor: must be >= 1, got {dealias_factor}")
+        return problems
+
+    def __post_init__(self):
+        problems = self.violations(self.dim, self.N, self.L, self.dealias_factor)
         if problems:
             raise ValidationError(problems)
 

@@ -132,6 +132,7 @@ class OUPath:
         return j
 
     def value(self, t: float) -> float:
+        """z(theta_t omega): the OU value at grid-aligned time t."""
         return float(self.values[self.index(t) - self.j_min])
 
     def value_at_index(self, j: int) -> float:
@@ -173,11 +174,6 @@ def ou_from_wiener(path: WienerPath, alpha: float) -> OUPath:
 def ou_path(seed: int, alpha: float, t_min: float, t_max: float, h_w: float) -> OUPath:
     """Convenience: Wiener sample plus OU transform in one call."""
     return ou_from_wiener(sample_wiener(seed, t_min, t_max, h_w), alpha)
-
-
-def ou_shift_eval(ou: OUPath, s: float) -> float:
-    """z(theta_s omega): the OU value at grid-aligned shifted time s."""
-    return ou.value(s)
 
 
 def stationary_moment(alpha: float, xi: float) -> float:

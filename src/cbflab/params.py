@@ -29,30 +29,37 @@ class PhysicsParams:
     darcy: float = 0.0
     forcing: SpectralVelocity | None = None
 
-    def __post_init__(self):
+    @staticmethod
+    def violations(mu, beta, r, darcy, dim=None) -> list:
+        """Every violated coefficient rule; with ``dim``, also the 3D
+        well-posedness window (r >= 3, and 2 beta mu >= 1 at r = 3)."""
         problems = []
-        if not (self.mu > 0):
-            problems.append(f"physics.mu: must be positive, got {self.mu}")
-        if self.beta < 0:
-            problems.append(f"physics.beta: must be >= 0, got {self.beta}")
-        if self.r < 1:
-            problems.append(f"physics.r: absorption exponent must be >= 1, got {self.r}")
-        if self.darcy < 0:
-            problems.append(f"physics.darcy: must be >= 0, got {self.darcy}")
+        if not (mu > 0):
+            problems.append(f"physics.mu: must be positive, got {mu}")
+        if not (beta >= 0):
+            problems.append(f"physics.beta: must be >= 0, got {beta}")
+        if not (r >= 1):
+            problems.append(f"physics.r: absorption exponent must be >= 1, got {r}")
+        if not (darcy >= 0):
+            problems.append(f"physics.darcy: must be >= 0, got {darcy}")
+        if dim == 3:
+            if not (r >= 3):
+                problems.append(f"physics.r: 3D requires r >= 3, got {r}")
+            elif r == 3 and not (2.0 * beta * mu >= 1.0):
+                problems.append(
+                    "physics.beta/mu: 3D with r = 3 requires 2*beta*mu >= 1, "
+                    f"got {2.0 * beta * mu}"
+                )
+        return problems
+
+    def __post_init__(self):
+        problems = self.violations(self.mu, self.beta, self.r, self.darcy)
         if problems:
             raise ValidationError(problems)
 
     def validate_for_dim(self, dim: int) -> None:
-        """3D well-posedness window: r >= 3, and 2 beta mu >= 1 at r = 3."""
-        problems = []
-        if dim == 3:
-            if self.r < 3:
-                problems.append(f"physics.r: 3D requires r >= 3, got {self.r}")
-            elif self.r == 3 and 2.0 * self.beta * self.mu < 1.0:
-                problems.append(
-                    "physics.beta/mu: 3D with r = 3 requires 2*beta*mu >= 1, "
-                    f"got {2.0 * self.beta * self.mu}"
-                )
+        """Raise unless the parameters lie in the well-posedness window of ``dim``."""
+        problems = self.violations(self.mu, self.beta, self.r, self.darcy, dim)
         if problems:
             raise ValidationError(problems)
 
@@ -71,11 +78,15 @@ class EstimateConstants:
     c3: float = 2.0
     label: str = PROVISIONAL_LABEL
 
-    def __post_init__(self):
-        bad = [
+    @staticmethod
+    def violations(c1, c2, c3) -> list:
+        return [
             f"constants.{name}: must be positive, got {val}"
-            for name, val in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3))
+            for name, val in (("c1", c1), ("c2", c2), ("c3", c3))
             if not (val > 0)
         ]
-        if bad:
-            raise ValidationError(bad)
+
+    def __post_init__(self):
+        problems = self.violations(self.c1, self.c2, self.c3)
+        if problems:
+            raise ValidationError(problems)

@@ -53,46 +53,48 @@ class NoiseConfig:
     ou_alpha: float = 1.0
     seed: int = 0
 
-    def __post_init__(self):
+    @staticmethod
+    def violations(mode, epsilon, ou_alpha, has_phi, dim=None) -> list:
+        """Every violated noise rule; ``dim`` is the grid dimension when known.
+
+        The band limit of the profile is checked on the built field only.
+        """
         problems = []
-        if self.mode not in (NONE, ADDITIVE, MULTIPLICATIVE):
-            problems.append(f"noise.mode: unknown mode {self.mode!r}")
-        if not (0.0 <= self.epsilon <= 1.0):
+        if mode not in (NONE, ADDITIVE, MULTIPLICATIVE):
             problems.append(
-                f"noise.epsilon: must lie in [0, 1], got {self.epsilon}"
+                f"noise.mode: must be one of {(NONE, ADDITIVE, MULTIPLICATIVE)}, got {mode!r}"
             )
-        if self.mode == NONE and self.epsilon != 0.0:
+        if not (0.0 <= epsilon <= 1.0):
+            problems.append(f"noise.epsilon: must lie in [0, 1], got {epsilon}")
+        if mode == NONE and epsilon != 0.0:
             problems.append("noise.epsilon: mode 'none' requires epsilon = 0")
-        if not (self.ou_alpha > 0):
-            problems.append(f"noise.ou_alpha: must be positive, got {self.ou_alpha}")
-        if self.mode == ADDITIVE:
-            if self.phi is None:
+        if not (ou_alpha > 0):
+            problems.append(f"noise.ou_alpha: must be positive, got {ou_alpha}")
+        if mode == ADDITIVE:
+            if dim not in (None, 2):
+                problems.append("noise.mode: additive noise is 2D only (no 3D additive theory)")
+            if not has_phi:
                 problems.append("noise.phi: additive mode requires a noise profile")
-            else:
-                g = self.phi.grid
-                if g.dim != 2:
-                    problems.append("noise.mode: additive noise is 2D only")
-                kmag = np.sqrt(g.k2)
-                live = np.any(np.abs(self.phi.coeffs), axis=0)
-                if np.any(live & (kmag > PHI_BAND_FRACTION * g.N)):
-                    problems.append(
-                        f"noise.phi: must be band-limited to |k| <= N/4 = "
-                        f"{PHI_BAND_FRACTION * g.N}"
-                    )
-        elif self.phi is not None:
+        elif has_phi:
             problems.append("noise.phi: only meaningful for additive noise")
+        return problems
+
+    def __post_init__(self):
+        phi = self.phi
+        problems = self.violations(
+            self.mode, self.epsilon, self.ou_alpha, phi is not None,
+            None if phi is None else phi.grid.dim,
+        )
+        if self.mode == ADDITIVE and phi is not None:
+            g = phi.grid
+            live = np.any(np.abs(phi.coeffs), axis=0)
+            if np.any(live & (np.sqrt(g.k2) > PHI_BAND_FRACTION * g.N)):
+                problems.append(
+                    f"noise.phi: must be band-limited to |k| <= N/4 = "
+                    f"{PHI_BAND_FRACTION * g.N}"
+                )
         if problems:
             raise ValidationError(problems)
-
-
-def _require_clean_params(params: PhysicsParams, grid: TorusGrid, mode: str) -> None:
-    params.validate_for_dim(grid.dim)
-    if params.darcy != 0.0:
-        raise ValidationError(
-            "physics.darcy: the transformed random systems are stated for darcy = 0"
-        )
-    if mode == ADDITIVE and grid.dim != 2:
-        raise ValidationError("noise.mode: additive noise is 2D only")
 
 
 def _additive_rhs(grid, params, noise, ou: OUPath, j0: int):
@@ -158,14 +160,23 @@ class RandomTrajectory:
     epsilon: float
 
 
-def _solve_transformed(
-    v0, params, noise, ou, interval, h, *, mode,
-    sample_every=0, cfl_safety=DEFAULT_CFL_SAFETY, blowup_guard=DEFAULT_BLOWUP_GUARD,
+def solve_transformed(
+    v0: SpectralVelocity, params: PhysicsParams, noise: NoiseConfig,
+    ou: OUPath, interval, h: float, *,
+    sample_every: int = 0, cfl_safety: float = DEFAULT_CFL_SAFETY,
+    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
 ) -> RandomTrajectory:
+    """Integrate the system transformed by ``noise.mode`` over ``interval``.
+
+    Additive noise is 2D only, multiplicative noise runs in 2D and 3D, and
+    mode ``none`` (epsilon = 0) runs the deterministic right-hand side.
+    """
     grid = v0.grid
-    _require_clean_params(params, grid, mode)
-    if noise.mode not in (mode, NONE) and noise.epsilon != 0.0:
-        raise ValidationError(f"noise.mode: expected {mode}, got {noise.mode}")
+    params.validate_for_dim(grid.dim)
+    if params.darcy != 0.0:
+        raise ValidationError(
+            "physics.darcy: the transformed random systems are stated for darcy = 0"
+        )
     if params.forcing is not None:
         v0.same_grid(params.forcing)
     if noise.phi is not None:
@@ -184,7 +195,8 @@ def _solve_transformed(
     else:
         j0 = 0
 
-    builder = _additive_rhs if mode == ADDITIVE else _multiplicative_rhs
+    additive = noise.mode == ADDITIVE
+    builder = _additive_rhs if additive else _multiplicative_rhs
     rhs = builder(grid, params, noise, ou, j0)
     f_coeffs = None if params.forcing is None else params.forcing.coeffs
     traj = drive(
@@ -200,32 +212,14 @@ def _solve_transformed(
         z_samples.append(z)
         if eps == 0.0:
             u_states.append(state)
-        elif mode == ADDITIVE:
+        elif additive:
             u_states.append(
                 SpectralVelocity(grid, state.coeffs + (eps * z) * noise.phi.coeffs)
             )
         else:
             u_states.append(SpectralVelocity(grid, math.exp(eps * z) * state.coeffs))
     return RandomTrajectory(
-        v=traj, u_states=u_states, z_at_samples=z_samples, mode=mode, epsilon=eps
-    )
-
-
-def solve_additive_2d(
-    v0: SpectralVelocity, params: PhysicsParams, noise: NoiseConfig,
-    ou: OUPath, interval, h: float, **kw,
-) -> RandomTrajectory:
-    """Integrate the additively-transformed 2D system over ``interval``."""
-    return _solve_transformed(v0, params, noise, ou, interval, h, mode=ADDITIVE, **kw)
-
-
-def solve_multiplicative(
-    v0: SpectralVelocity, params: PhysicsParams, noise: NoiseConfig,
-    ou: OUPath, interval, h: float, **kw,
-) -> RandomTrajectory:
-    """Integrate the multiplicatively-transformed system (2D or 3D)."""
-    return _solve_transformed(
-        v0, params, noise, ou, interval, h, mode=MULTIPLICATIVE, **kw
+        v=traj, u_states=u_states, z_at_samples=z_samples, mode=noise.mode, epsilon=eps
     )
 
 
@@ -285,8 +279,8 @@ def pullback_sample(
     def run(horizon: float) -> RandomTrajectory:
         n = round(horizon / h)
         ou = ou_path(seed, noise.ou_alpha, t_min=-n * h, t_max=0.0, h_w=h)
-        return _solve_transformed(
-            v0, params, noise, ou, (-n * h, 0.0), h, mode=mode,
+        return solve_transformed(
+            v0, params, noise, ou, (-n * h, 0.0), h,
             cfl_safety=cfl_safety, blowup_guard=blowup_guard,
         )
 

@@ -82,11 +82,6 @@ def write_manifest(out_dir, subcommand, config_text, constants, seeds, artifacts
     return path
 
 
-def load_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # SVG rate plot: a pure function of the fit JSON payload
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from cbflab import (
     rate_sweep,
     simulate,
     single_mode_field,
-    solve_additive_2d,
-    solve_multiplicative,
+    solve_transformed,
     stokes_apply,
 )
 from cbflab.conditions import check_singleton_condition, threshold_2d, threshold_3d_crit
@@ -227,12 +226,12 @@ def test_criterion_07_eps_zero_reduction(setup_2d_critical):
     det = simulate(u0, params, T=steps * h, h=h)
     z = ou_path(4, 1.0, -1.0, steps * h, h)
     phi = random_field(grid, 42, h_norm=1.0, kmax=6.0)
-    add = solve_additive_2d(
+    add = solve_transformed(
         u0, params,
         NoiseConfig(mode="additive", epsilon=0.0, phi=phi, ou_alpha=1.0, seed=4),
         z, (0.0, steps * h), h,
     )
-    mul = solve_multiplicative(
+    mul = solve_transformed(
         u0, params,
         NoiseConfig(mode="multiplicative", epsilon=0.0, ou_alpha=1.0, seed=4),
         z, (0.0, steps * h), h,
@@ -240,7 +239,7 @@ def test_criterion_07_eps_zero_reduction(setup_2d_critical):
     ref = det.final_state.coeffs.tobytes()
     assert add.v.final_state.coeffs.tobytes() == ref
     assert mul.v.final_state.coeffs.tobytes() == ref
-    report("criterion-7", f"both transformed solvers bit-identical over {steps} steps")
+    report("criterion-7", f"both transformed modes bit-identical over {steps} steps")
 
 
 EPS_GRID = (0.1, 0.05, 0.025, 0.0125)

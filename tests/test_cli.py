@@ -173,15 +173,6 @@ def test_simulate_snapshot_cadence(tmp_path):
     read_field(snaps[0])
 
 
-def test_sweep_workers_deterministic(tmp_path):
-    cfg = write(tmp_path, "sw.cfg", SWEEP)
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["sweep", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2), "--workers", "3"]) == 0
-    assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
-    assert (out1 / "fit.json").read_bytes() == (out2 / "fit.json").read_bytes()
-
-
 def test_singleton_honours_cfl_safety(tmp_path, capsys):
     cfg = write(tmp_path, "c.cfg", BASE + "\n[solver]\nh = 0.02\nT = 1.0\ncfl_safety = 1e-9\n")
     code = main(["singleton", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -219,3 +210,42 @@ def test_sweep_singleton_nonconvergence_exit_code(tmp_path, capsys):
     code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["random", "file"])
+def test_forcing_h_norm_applies_to_every_spec(tmp_path, kind):
+    spec = "random seed=1 hnorm=1.0 kmax=3"
+    if kind == "file":
+        from cbflab import TorusGrid, random_field, write_field
+
+        path = tmp_path / "f.cbff"
+        write_field(path, random_field(TorusGrid(dim=2, N=16), 1, h_norm=1.0, kmax=3.0))
+        spec = f"file {path}"
+    text = BASE.replace("forcing = modes k=(1,0) a=(0j,(1+0j))", f"forcing = {spec}")
+    cfg = write(tmp_path, "c.cfg", text.replace("forcing_h_norm = 0.2", "forcing_h_norm = 0.01"))
+    assert main(["check-conditions", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "conditions.json").read_text())
+    # G = |f|_H / (mu^2 lambda1) with mu = lambda1 = 1
+    assert report["grashof"] == pytest.approx(0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, payload",
+    [
+        ("manifest.json", b'{"config_text": "[grid]\\n'),  # not valid JSON
+        ("latin1.cfg", "[grid]\ndim = 2\n# déjà vu\n".encode("latin-1")),  # not UTF-8
+        ("missing.cfg", BASE.replace("modes k=(1,0) a=(0j,(1+0j))", "file /nonexistent/f.cbff").encode()),
+        ("huge.cfg", BASE.replace("mu = 1.0", "mu = 1e200").encode()),  # mu**2 overflows
+        ("eta3.cfg", BASE.replace("dim = 2", "dim = 3").replace("r = 3.0", "r = 3.0000000001")
+         .replace("k=(1,0) a=(0j,(1+0j))", "k=(1,0,0) a=(0j,(1+0j),0j)").encode()),
+    ],
+    ids=["bad-json", "not-utf8", "missing-field-file", "mu-overflow", "eta3-overflow"],
+)
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, name, payload):
+    cfg = tmp_path / name
+    cfg.write_bytes(payload)
+    code = main(["check-conditions", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbflab import ValidationError
+from cbflab import (
+    EstimateConstants,
+    NoiseConfig,
+    PhysicsParams,
+    TorusGrid,
+    ValidationError,
+    random_field,
+)
 from cbflab.config import (
     ModesSpec,
     NoneSpec,
@@ -181,3 +189,39 @@ def test_file_spec_round_trip(tmp_path, grid2d_small):
     import numpy as np
 
     assert np.array_equal(built.coeffs, u.coeffs)
+
+
+def test_parse_config_builds_no_lattice():
+    text = MINIMAL.replace("dim = 2", "dim = 3").replace("N = 16", "N = 4096")
+    tracemalloc.start()
+    try:
+        cfg = parse_config(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.grid.N == 4096
+    assert peak < 10 * 2**20  # one 4096^3 lattice array alone would be 512 GiB
+
+
+@pytest.mark.parametrize(
+    "lines, build",
+    [
+        ("[grid]\nN = 7", lambda: TorusGrid(dim=2, N=7)),
+        ("[grid]\ndealias_factor = 0.5", lambda: TorusGrid(dim=2, N=16, dealias_factor=0.5)),
+        ("[physics]\nr = 0.5", lambda: PhysicsParams(mu=1.0, beta=1.0, r=0.5)),
+        ("[physics]\nbeta = nan", lambda: PhysicsParams(mu=1.0, beta=math.nan, r=3.0)),
+        ("[grid]\ndim = 3\n[physics]\nbeta = 0.25",
+         lambda: PhysicsParams(mu=1.0, beta=0.25, r=3.0).validate_for_dim(3)),
+        ("[noise]\nmode = weird", lambda: NoiseConfig(mode="weird")),
+        ("[noise]\nphi = random seed=1 hnorm=1.0 kmax=4",
+         lambda: NoiseConfig(mode="none", phi=random_field(TorusGrid(dim=2, N=16), 1, kmax=4.0))),
+        ("[constants]\nc2 = 0", lambda: EstimateConstants(c2=0.0)),
+    ],
+    ids=["grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2"],
+)
+def test_config_reports_the_domain_types_violations(lines, build):
+    with pytest.raises(ValidationError) as from_type:
+        build()
+    with pytest.raises(ValidationError) as from_config:
+        parse_config(MINIMAL + "\n" + lines + "\n")
+    assert set(from_type.value.violations) <= set(from_config.value.violations)

@@ -19,8 +19,7 @@ from cbflab import (
     random_field,
     simulate,
     single_mode_field,
-    solve_additive_2d,
-    solve_multiplicative,
+    solve_transformed,
     zero_velocity,
 )
 from cbflab.operators import (
@@ -229,11 +228,11 @@ def test_states_leaving_drive_are_hermitian(grid2d_small, grid3d):
     phi = random_field(grid2d_small, 42, kmax=4.0)
     runs = [
         simulate(u0, p, T=0.5, h=0.01, sample_every=10).states,
-        solve_additive_2d(
+        solve_transformed(
             u0, p, NoiseConfig(mode="additive", epsilon=0.3, phi=phi, seed=3),
             z, (0.0, 0.5), 0.01, sample_every=10,
         ).v.states,
-        solve_multiplicative(
+        solve_transformed(
             u0, p, NoiseConfig(mode="multiplicative", epsilon=0.3, seed=3),
             z, (0.0, 0.5), 0.01, sample_every=10,
         ).u_states,

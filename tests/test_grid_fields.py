@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -116,6 +117,27 @@ def test_snapshot_rejects_garbage(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda blob: blob[:-16],  # truncated payload
+        lambda blob: blob[:10],  # short header
+        lambda blob: blob + b"\0",  # trailing bytes
+        lambda blob: blob[:8] + struct.pack("<d", 2.5) + blob[16:],  # dim not an integer
+        lambda blob: blob[:16] + struct.pack("<d", 8.5) + blob[24:],  # N not an integer
+    ],
+    ids=["truncated", "short", "trailing", "fractional-dim", "fractional-N"],
+)
+def test_snapshot_rejects_malformed_files(tmp_path, grid2d_small, cut):
+    path = tmp_path / "f.cbff"
+    write_field(path, random_field(grid2d_small, 2))
+    assert len(path.read_bytes()) == 32 + 16 * 2 * 16**2
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValidationError) as err:
+        read_field(path)
+    assert str(path) in str(err.value)
+
+
 def test_zero_velocity(grid3d):
     z = zero_velocity(grid3d)
     assert z.is_zero()
@@ -123,18 +145,10 @@ def test_zero_velocity(grid3d):
 
 
 def test_physical_field_workspace(grid2d):
-    from cbflab.fields import to_physical
-
     u = random_field(grid2d, 3, h_norm=0.8)
-    phys = to_physical(u, factor=1.5)
-    assert phys.lattice_size == 48
-    assert phys.values.shape == (2, 48, 48)
-    energy = phys.quadrature(np.sum(phys.values**2, axis=0))
+    values, m = grid2d.to_phys(u.coeffs, factor=1.5)
+    assert m == 48
+    assert values.shape == (2, 48, 48)
+    # collocation quadrature of |u|^2 on the padded lattice
+    energy = float(np.sum(values**2) * (grid2d.L / m) ** grid2d.dim)
     assert energy == pytest.approx(h_norm(u) ** 2, rel=1e-12)
-
-
-def test_physical_field_shape_guard(grid2d):
-    from cbflab.fields import PhysicalField
-
-    with pytest.raises(ValidationError):
-        PhysicalField(grid2d, np.zeros((2, 48, 48)), 32)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbflab import ValidationError, ou_from_wiener, ou_path, ou_shift_eval, sample_wiener
+from cbflab import ValidationError, ou_from_wiener, ou_path, sample_wiener
 from cbflab.ou import stationary_moment
 
 
@@ -85,14 +85,15 @@ def test_ou_large_alpha_concentrates():
 
 
 def test_ou_shift_eval_basics():
+    # z(theta_s omega) is OUPath.value(s)
     z = ou_path(3, 1.0, -2.0, 2.0, 0.5)
-    assert ou_shift_eval(z, 0.0) == z.value(0.0)
+    assert z.value(0.0) == z.values[-z.j_min]
     # group law on the grid: evaluating at s+u equals shifting twice
-    assert ou_shift_eval(z, 1.5) == z.value(1.0 + 0.5)
+    assert z.value(1.5) == z.value(1.0 + 0.5) == z.value_at_index(3)
     with pytest.raises(ValidationError):
-        ou_shift_eval(z, 2.5)
+        z.value(2.5)
     with pytest.raises(ValidationError):
-        ou_shift_eval(z, 0.3)  # off-grid evaluation is forbidden
+        z.value(0.3)  # off-grid evaluation is forbidden
 
 
 def test_ou_rejects_bad_alpha():

@@ -15,8 +15,7 @@ from cbflab import (
     random_field,
     simulate,
     single_mode_field,
-    solve_additive_2d,
-    solve_multiplicative,
+    solve_transformed,
     zero_velocity,
 )
 
@@ -58,7 +57,7 @@ def test_random_solvers_reject_darcy(setup2d):
     nz = NoiseConfig(mode="multiplicative", epsilon=0.1, seed=1)
     z = ou_path(1, 1.0, -1.0, 1.0, 0.01)
     with pytest.raises(ValidationError):
-        solve_multiplicative(probe_field(g, 1), p, nz, z, (0.0, 0.5), 0.01)
+        solve_transformed(probe_field(g, 1), p, nz, z, (0.0, 0.5), 0.01)
 
 
 @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
@@ -72,8 +71,7 @@ def test_eps_zero_reduces_bitwise(setup2d, mode):
         mode=mode, epsilon=0.0, phi=phi if mode == "additive" else None,
         ou_alpha=1.0, seed=5,
     )
-    solver = solve_additive_2d if mode == "additive" else solve_multiplicative
-    out = solver(u0, params, nz, z, (0.0, T), h)
+    out = solve_transformed(u0, params, nz, z, (0.0, T), h)
     assert out.v.final_state.coeffs.tobytes() == det.final_state.coeffs.tobytes()
 
 
@@ -83,7 +81,7 @@ def test_additive_reconstruction_identity(setup2d):
     h = 0.01
     z = ou_path(6, 1.0, -1.0, 1.0, h)
     nz = NoiseConfig(mode="additive", epsilon=0.3, phi=phi, ou_alpha=1.0, seed=6)
-    out = solve_additive_2d(u0, params, nz, z, (0.0, 1.0), h, sample_every=25)
+    out = solve_transformed(u0, params, nz, z, (0.0, 1.0), h, sample_every=25)
     for ts, v_state, u_state in zip(
         out.v.sample_times, out.v.states, out.u_states
     ):
@@ -97,7 +95,7 @@ def test_multiplicative_reconstruction_identity(setup2d):
     h = 0.01
     z = ou_path(7, 1.0, -1.0, 1.0, h)
     nz = NoiseConfig(mode="multiplicative", epsilon=0.4, ou_alpha=1.0, seed=7)
-    out = solve_multiplicative(u0, params, nz, z, (0.0, 1.0), h, sample_every=50)
+    out = solve_transformed(u0, params, nz, z, (0.0, 1.0), h, sample_every=50)
     for ts, v_state, u_state in zip(out.v.sample_times, out.v.states, out.u_states):
         expected = math.exp(0.4 * z.value(ts)) * v_state.coeffs
         assert np.array_equal(u_state.coeffs, expected)
@@ -113,7 +111,7 @@ def test_additive_zero_profile_decays_like_deterministic():
     nz = NoiseConfig(
         mode="additive", epsilon=0.5, phi=zero_velocity(g), ou_alpha=1.0, seed=2
     )
-    out = solve_additive_2d(u0, params, nz, z, (0.0, 1.0), 0.01)
+    out = solve_transformed(u0, params, nz, z, (0.0, 1.0), 0.01)
     gap = np.max(np.abs(out.v.final_state.coeffs - det.final_state.coeffs))
     assert gap <= 1e-14
 
@@ -124,7 +122,7 @@ def test_multiplicative_zero_invariance():
     params = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
     z = ou_path(8, 1.0, -1.0, 1.0, 0.01)
     nz = NoiseConfig(mode="multiplicative", epsilon=0.5, ou_alpha=1.0, seed=8)
-    out = solve_multiplicative(zero_velocity(g), params, nz, z, (0.0, 1.0), 0.01)
+    out = solve_transformed(zero_velocity(g), params, nz, z, (0.0, 1.0), 0.01)
     assert h_norm(out.v.final_state) == 0.0
 
 
@@ -135,9 +133,9 @@ def test_cocycle_consistency(setup2d):
     nz = NoiseConfig(mode="multiplicative", epsilon=0.25, ou_alpha=1.0, seed=9)
     z = ou_path(9, 1.0, -2.0, 0.0, h)
     v0 = probe_field(g, 14)
-    full = solve_multiplicative(v0, params, nz, z, (-2.0, 0.0), h)
-    first = solve_multiplicative(v0, params, nz, z, (-2.0, -0.75), h)
-    second = solve_multiplicative(
+    full = solve_transformed(v0, params, nz, z, (-2.0, 0.0), h)
+    first = solve_transformed(v0, params, nz, z, (-2.0, -0.75), h)
+    second = solve_transformed(
         first.v.final_state, params, nz, z, (-0.75, 0.0), h
     )
     assert np.array_equal(full.v.final_state.coeffs, second.v.final_state.coeffs)
@@ -148,7 +146,7 @@ def test_ou_domain_guard(setup2d):
     nz = NoiseConfig(mode="multiplicative", epsilon=0.2, ou_alpha=1.0, seed=10)
     z = ou_path(10, 1.0, -1.0, 0.0, 0.01)
     with pytest.raises(ValidationError):
-        solve_multiplicative(probe_field(g, 1), params, nz, z, (-2.0, 0.0), 0.01)
+        solve_transformed(probe_field(g, 1), params, nz, z, (-2.0, 0.0), 0.01)
 
 
 def test_pullback_deterministic_reduction(setup2d):
@@ -199,11 +197,3 @@ def test_pullback_ladder_stabilizes(setup2d):
         h_norm(type(samples[5.0].state)(g, samples[10.0].state.coeffs - samples[20.0].state.coeffs)),
     ]
     assert gaps[1] < gaps[0]
-
-
-def test_mode_mismatch_guard(setup2d):
-    g, params, phi = setup2d
-    nz = NoiseConfig(mode="additive", epsilon=0.1, phi=phi, ou_alpha=1.0, seed=1)
-    z = ou_path(1, 1.0, -1.0, 1.0, 0.01)
-    with pytest.raises(ValidationError):
-        solve_multiplicative(probe_field(g, 1), params, nz, z, (0.0, 0.5), 0.01)
