@@ -41,7 +41,6 @@ from .operators import (
     inner_h,
     leray_project,
     lr_norm,
-    norms,
     stokes_apply,
     trilinear_b,
     v_norm,
@@ -90,7 +89,6 @@ __all__ = [
     "leray_project",
     "lr_norm",
     "measure_distance",
-    "norms",
     "ou_from_wiener",
     "ou_path",
     "probe_field",

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .conditions import check_singleton_condition, default_regime
+from .conditions import check_singleton_condition
 from .config import RunConfig, build_field, parse_config, serialize_config
 from .deterministic import energy_residual, find_singleton, simulate
 from .errors import BlowUpError, CBFError, NonConvergenceError, ValidationError
@@ -84,22 +84,10 @@ def _materialize(cfg: RunConfig):
         mu=cfg.physics.mu, beta=cfg.physics.beta, r=cfg.physics.r,
         darcy=cfg.physics.darcy, forcing=forcing,
     )
-    params.validate_for_dim(grid.dim)
     constants = EstimateConstants(
         c1=cfg.constants.c1, c2=cfg.constants.c2, c3=cfg.constants.c3
     )
     return grid, params, constants
-
-
-def _noise_from(cfg: RunConfig, grid, epsilon=None, seed=None) -> NoiseConfig:
-    phi = build_field(cfg.noise.phi, grid)
-    return NoiseConfig(
-        mode=cfg.noise.mode,
-        epsilon=cfg.noise.epsilon if epsilon is None else epsilon,
-        phi=phi,
-        ou_alpha=cfg.noise.ou_alpha,
-        seed=cfg.noise.seed if seed is None else seed,
-    )
 
 
 def _initial_state(cfg, grid):
@@ -113,9 +101,7 @@ def _initial_state(cfg, grid):
 
 def _cmd_check_conditions(cfg, out_dir, args):
     grid, params, constants = _materialize(cfg)
-    report = check_singleton_condition(
-        params, grid, constants, default_regime(params, grid)
-    )
+    report = check_singleton_condition(params, grid, constants)
     print(report.summary())
     path = os.path.join(out_dir, "conditions.json")
     write_json(path, {
@@ -176,7 +162,7 @@ def _cmd_singleton(cfg, out_dir, args):
         "converged": result.converged,
         "t_final": result.t_final,
         "probe_seeds": result.probe_seeds,
-        "varrho": result.condition.varrho if result.condition else None,
+        "varrho": result.condition.varrho,
     })
     artifacts.append(summary_path)
     if not result.converged:
@@ -187,7 +173,11 @@ def _cmd_singleton(cfg, out_dir, args):
 
 def _cmd_pullback(cfg, out_dir, args):
     grid, params, _ = _materialize(cfg)
-    noise = _noise_from(cfg, grid, seed=cfg.noise.seed + args.seed_offset)
+    noise = NoiseConfig(
+        mode=cfg.noise.mode, epsilon=cfg.noise.epsilon,
+        phi=build_field(cfg.noise.phi, grid), ou_alpha=cfg.noise.ou_alpha,
+        seed=cfg.noise.seed + args.seed_offset,
+    )
     sample = pullback_sample(
         params, noise, cfg.solver.t_pull, cfg.solver.h,
         grid=grid, v0=build_field(cfg.solver.initial, grid),
@@ -226,7 +216,7 @@ def _cmd_sweep(cfg, out_dir, args):
         params, grid, cfg.noise.mode, eps_grid, cfg.noise.n_samples,
         cfg.solver.t_pull, cfg.solver.h,
         phi=phi, ou_alpha=cfg.noise.ou_alpha,
-        base_seed=cfg.noise.seed, seed_offset=args.seed_offset,
+        base_seed=cfg.noise.seed + args.seed_offset,
         pullback_tol=cfg.solver.pullback_tol, singleton_tol=cfg.solver.tol,
         singleton_maxT=cfg.solver.T, n_probes=cfg.solver.n_probes,
         constants=constants,
@@ -309,12 +299,57 @@ def _cmd_ou_diagnostics(cfg, out_dir, args):
     return [path, dump_path], EXIT_OK
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_fit(path) -> dict:
+    """A sweep's fit.json, with every value that ``report`` prints or plots checked."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            fit = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValidationError(f"{path}: not a fit JSON file ({exc})") from exc
+    if not isinstance(fit, dict):
+        raise ValidationError(f"{path}: not a fit JSON object")
+    problems = [
+        f"{path}: {key} must be a number"
+        for key in ("slope", "intercept", "delta_theory", "n_samples")
+        if not _is_number(fit.get(key))
+    ]
+    problems += [
+        f"{path}: {key} must be a non-empty list of numbers"
+        for key in ("eps_grid", "log_means", "residuals")
+        if not (isinstance(fit.get(key), list) and fit[key] and all(map(_is_number, fit[key])))
+    ]
+    if not problems and not all(e > 0 for e in fit["eps_grid"]):
+        problems.append(f"{path}: eps_grid entries must be positive")
+    if problems:
+        raise ValidationError(problems)
+    return fit
+
+
+def _read_records(path) -> list:
+    """The epsilon and dist_h of every row of a sweep's records.csv."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            records = []
+            for line in fh:
+                row = dict(zip(header, line.strip().split(",")))
+                records.append({key: float(row[key]) for key in ("epsilon", "dist_h")})
+    except (KeyError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        raise ValidationError(f"{path}: need numeric epsilon and dist_h columns ({exc!r})") from exc
+    if not all(rec["epsilon"] > 0 for rec in records):
+        raise ValidationError(f"{path}: epsilon entries must be positive")
+    return records
+
+
 def _cmd_report(cfg_path, out_dir, args):
     src = cfg_path
     if os.path.isdir(src):
         src = os.path.join(src, "fit.json")
-    with open(src, "r", encoding="utf-8") as fh:
-        fit_payload = json.load(fh)
+    fit_payload = _read_fit(src)
     lines = [
         "rate sweep summary",
         f"  fitted slope     : {fmt(fit_payload['slope'])}",
@@ -330,17 +365,8 @@ def _cmd_report(cfg_path, out_dir, args):
         fh.write(text)
     artifacts = [summary_path]
     if args.format == "svg":
-        records = None
         rec_csv = os.path.join(os.path.dirname(src), "records.csv")
-        if os.path.exists(rec_csv):
-            records = []
-            with open(rec_csv, "r", encoding="utf-8") as fh:
-                header = fh.readline().strip().split(",")
-                for line in fh:
-                    vals = dict(zip(header, line.strip().split(",")))
-                    records.append(
-                        {"epsilon": float(vals["epsilon"]), "dist_h": float(vals["dist_h"])}
-                    )
+        records = _read_records(rec_csv) if os.path.exists(rec_csv) else None
         svg_path = os.path.join(out_dir, "fit.svg")
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(svg_rate_plot(fit_payload, records))

@@ -228,6 +228,10 @@ _SECTIONS = {
 
 _FIELD_SPEC_KEYS = {"forcing", "phi", "initial"}
 
+#: Every run manifest lists its n_samples noise seeds (about 12 MB at this
+#: bound); 10^8 of them would take gigabytes before any work started.
+MAX_SAMPLES = 1_000_000
+
 
 def _convert(section, key, raw, line_no, problems):
     where = f"{section}.{key}"
@@ -332,10 +336,12 @@ def validate_config(cfg: RunConfig) -> list:
                         f"{where}: mode {k} has {len(k)} components for a "
                         f"{g.dim}D grid"
                     )
+    if ph.forcing_h_norm is not None and isinstance(ph.forcing, NoneSpec):
+        p.append("physics.forcing_h_norm: set, but forcing = none has no norm to rescale")
     if nz.mode != "none" and ph.darcy != 0.0:
         p.append("physics.darcy: random dynamics require darcy = 0")
-    if nz.n_samples < 1:
-        p.append(f"noise.n_samples: must be >= 1, got {nz.n_samples}")
+    if not (1 <= nz.n_samples <= MAX_SAMPLES):
+        p.append(f"noise.n_samples: must lie in [1, {MAX_SAMPLES}], got {nz.n_samples}")
     if not sv.h > 0:
         p.append(f"solver.h: must be positive, got {sv.h}")
     if not sv.T > 0:

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import ConditionReport, check_singleton_condition, default_regime
+from .conditions import ConditionReport, check_singleton_condition
 from .errors import BlowUpError, CFLViolationError, ValidationError
 from .fields import SpectralVelocity, random_field
 from .grid import TorusGrid
 from .operators import h_norm_kernel, lr_norm_kernel, nonlinear_kernel
-from .params import EstimateConstants, PhysicsParams
+from .params import EstimateConstants, PhysicsParams, step_count
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +111,8 @@ def drive(
     """
     if h <= 0:
         raise ValidationError(f"solver.h: step must be positive, got {h}")
+    if n_steps < 1:
+        raise ValidationError(f"horizon: need at least one step of h = {h}, got {n_steps}")
     ex = integrating_factor(grid, mu, h)
     u = grid.to_half(u0_coeffs)
     n_rec = n_steps + 1
@@ -192,9 +194,7 @@ def simulate(
     params.validate_for_dim(grid.dim)
     if params.forcing is not None:
         u0.same_grid(params.forcing)
-    n_steps = int(round(T / h))
-    if abs(n_steps * h - T) > 1e-9 * max(1.0, T) or n_steps < 1:
-        raise ValidationError(f"solver.T: horizon {T} is not a positive multiple of h = {h}")
+    n_steps = step_count(T, h, "solver.T")
     f_coeffs = None if params.forcing is None else params.forcing.coeffs
     rhs_u = _deterministic_rhs(grid, params, f_coeffs)
     return drive(
@@ -246,7 +246,7 @@ class SingletonResult:
     a_star: SpectralVelocity
     converged: bool
     contraction_log: list
-    condition: ConditionReport | None
+    condition: ConditionReport
     probe_seeds: list
     t_final: float
 
@@ -262,8 +262,6 @@ def find_singleton(
     check_every: float = 1.0,
     base_seed: int = 1000,
     constants: EstimateConstants | None = None,
-    regime: str | None = None,
-    allow_unverified: bool = False,
     cfl_safety: float = DEFAULT_CFL_SAFETY,
     blowup_guard: float = DEFAULT_BLOWUP_GUARD,
 ) -> SingletonResult:
@@ -273,28 +271,16 @@ def find_singleton(
     Probes start from reproducible random data and run until every pairwise
     H-distance and the discrete drift |u(t+h) - u(t)|_H / h fall below
     ``tol``, or until ``maxT``.  The contraction log records
-    (t, max pairwise distance, max drift) at every check time.
+    (t, max pairwise distance, max drift) at every check time.  Raises
+    unless the small-forcing condition holds (which also requires darcy = 0).
     """
     if n_probes < 2:
         raise ValidationError(f"n_probes: need at least 2, got {n_probes}")
-    params.validate_for_dim(grid.dim)
-    condition = None
-    if params.darcy == 0.0:
-        condition = check_singleton_condition(
-            params, grid, constants, regime or default_regime(params, grid)
-        )
-        if not condition.holds:
-            msg = (
-                f"singleton condition fails for {condition.regime}: "
-                f"varrho = {condition.varrho:.6g}"
-            )
-            if not allow_unverified:
-                raise ValidationError(msg + " (pass allow_unverified=True to override)")
-            logger.warning("%s; proceeding anyway", msg)
-    elif not allow_unverified:
+    condition = check_singleton_condition(params, grid, constants)
+    if not condition.holds:
         raise ValidationError(
-            "singleton conditions assume darcy = 0 "
-            "(pass allow_unverified=True to override)"
+            f"singleton condition fails for {condition.regime}: "
+            f"varrho = {condition.varrho:.6g}"
         )
 
     seeds = [base_seed + i for i in range(n_probes)]

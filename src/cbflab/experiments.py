@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import check_singleton_condition, default_regime
+from .conditions import check_singleton_condition
 from .deterministic import (
     DEFAULT_BLOWUP_GUARD,
     DEFAULT_CFL_SAFETY,
@@ -27,10 +27,15 @@ from .errors import NonConvergenceError, ValidationError
 from .fields import SpectralVelocity
 from .grid import TorusGrid
 from .operators import h_distance, h_norm_kernel
-from .params import EstimateConstants, PhysicsParams
+from .params import EstimateConstants, PhysicsParams, step_count
 from .random_pde import ADDITIVE, MULTIPLICATIVE, NoiseConfig, PullbackSample, pullback_sample
 
 logger = logging.getLogger(__name__)
+
+#: Share of the horizon [0, T] over which contraction slopes are fitted.
+TAIL_FRACTION = 0.5
+#: Distances at or below this are round-off and are left out of the fits.
+DISTANCE_FLOOR = 1.0e-13
 
 
 def measure_distance(a_star: SpectralVelocity, sample) -> float:
@@ -154,7 +159,6 @@ def rate_sweep(
     phi: SpectralVelocity | None = None,
     ou_alpha: float = 1.0,
     base_seed: int = 0,
-    seed_offset: int = 0,
     pullback_tol: float = 1.0e-4,
     singleton_tol: float = 1.0e-8,
     singleton_maxT: float = 200.0,
@@ -167,11 +171,11 @@ def rate_sweep(
     Measure dist_H(attractor sample, a_star) on a grid of noise intensities.
 
     The deterministic singleton is computed once with the same step size h;
-    each seed then produces one coupled pullback sample per epsilon.  The
-    pullback horizon is validated by the halving test at the largest epsilon
-    for every seed, and only converged records enter the fit.  A singleton
-    search that does not converge raises NonConvergenceError carrying its
-    contraction log.
+    each noise seed base_seed, ..., base_seed + n_samples - 1 then produces
+    one coupled pullback sample per epsilon.  The pullback horizon is
+    validated by the halving test at the largest epsilon for every seed, and
+    only converged records enter the fit.  A singleton search that does not
+    converge raises NonConvergenceError carrying its contraction log.
     """
     check_sweep_regime(mode, grid.dim, params.r)
     eps_grid = sorted({float(e) for e in eps_grid}, reverse=True)
@@ -179,13 +183,7 @@ def rate_sweep(
         raise ValidationError("sweep: need at least 3 epsilon levels")
     if n_samples < 2:
         raise ValidationError("sweep: need at least 2 samples per level")
-    report = check_singleton_condition(
-        params, grid, constants, default_regime(params, grid)
-    )
-    if not report.holds:
-        raise ValidationError(
-            f"sweep: singleton condition fails (varrho = {report.varrho:.6g})"
-        )
+    step_count(t_pull, h, "t_pull")  # before the singleton search, not after it
 
     singleton = find_singleton(
         params, grid, tol=singleton_tol, maxT=singleton_maxT,
@@ -200,13 +198,13 @@ def rate_sweep(
     a_star = singleton.a_star
 
     records = []
-    for seed in range(base_seed + seed_offset, base_seed + seed_offset + n_samples):
+    for seed in range(base_seed, base_seed + n_samples):
         for i, eps in enumerate(eps_grid):
             noise = NoiseConfig(
                 mode=mode, epsilon=eps, phi=phi, ou_alpha=ou_alpha, seed=seed
             )
             sample = pullback_sample(
-                params, noise, t_pull, h, seed,
+                params, noise, t_pull, h,
                 grid=grid, validate=(i == 0), pullback_tol=pullback_tol,
                 cfl_safety=cfl_safety, blowup_guard=blowup_guard,
             )
@@ -253,8 +251,6 @@ def contraction_experiment(
     *,
     base_seed: int = 7000,
     constants: EstimateConstants | None = None,
-    tail_fraction: float = 0.5,
-    floor: float = 1.0e-13,
 ) -> ContractionResult:
     """
     Measure the tail decay rate of log |u1 - u2|_H^2 for random solution
@@ -262,14 +258,12 @@ def contraction_experiment(
     """
     if n_pairs < 1:
         raise ValidationError("n_pairs: need at least one pair")
-    report = check_singleton_condition(
-        params, grid, constants, default_regime(params, grid)
-    )
+    report = check_singleton_condition(params, grid, constants)
     if not report.holds:
         raise ValidationError(
             f"contraction: singleton condition fails (varrho = {report.varrho:.6g})"
         )
-    n_steps = int(round(T / h))
+    n_steps = step_count(T, h, "T")
     sample_every = max(1, n_steps // 256)
     slopes, flagged, curves = [], [], []
     times = None
@@ -285,10 +279,10 @@ def contraction_experiment(
                 for a, b in zip(t1.states, t2.states)
             ]
         )
-        keep = d > floor
-        log_sq = np.where(keep, 2.0 * np.log(np.maximum(d, floor)), np.nan)
+        keep = d > DISTANCE_FLOOR
+        log_sq = np.where(keep, 2.0 * np.log(np.maximum(d, DISTANCE_FLOOR)), np.nan)
         curves.append(log_sq)
-        tail = (times >= (1.0 - tail_fraction) * T) & keep
+        tail = (times >= (1.0 - TAIL_FRACTION) * T) & keep
         if np.sum(tail) < 3 or d[-1] >= d[0]:
             flagged.append(p)
             continue

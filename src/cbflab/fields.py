@@ -41,7 +41,10 @@ class SpectralVelocity:
             raise ValidationError(
                 f"coeffs shape {c.shape} does not match grid {(g.dim,) + g.shape}"
             )
-        scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
+        peak = float(np.max(np.abs(c))) if c.size else 0.0
+        if not np.isfinite(peak):
+            raise ValidationError("coefficients must be finite")
+        scale = max(1.0, peak)
         origin = (slice(None),) + (0,) * g.dim
         if np.max(np.abs(c[origin])) > 1.0e-12 * scale:
             raise MeanViolationError("nonzero mean (k = 0) coefficient")
@@ -69,9 +72,6 @@ class SpectralVelocity:
     def same_grid(self, other: "SpectralVelocity") -> None:
         if not self.grid.compatible(other.grid):
             raise GridMismatchError("fields live on different grids")
-
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
 
 
 def zero_velocity(grid: TorusGrid) -> SpectralVelocity:
@@ -156,6 +156,8 @@ def random_field(
 def rescale_to_h(u: SpectralVelocity, target: float) -> SpectralVelocity:
     from .operators import h_norm
 
+    if not (0.0 <= target < np.inf):
+        raise ValidationError(f"H norm target: must be finite and >= 0, got {target}")
     current = h_norm(u)
     if current == 0.0:
         if target == 0.0:

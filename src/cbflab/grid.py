@@ -130,10 +130,6 @@ class TorusGrid:
     def dx(self) -> float:
         return self.L / self.N
 
-    @property
-    def cell_volume(self) -> float:
-        return (self.L / self.N) ** self.dim
-
     def volume(self) -> float:
         return self.L**self.dim
 

@@ -12,8 +12,6 @@ same half-layout pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import MeanViolationError, ValidationError
@@ -278,18 +276,6 @@ def lr_norm_kernel(grid: TorusGrid, coeffs: np.ndarray, r: float) -> float:
 def lr_norm(u: SpectralVelocity, r: float) -> float:
     """L^(r+1) norm by collocation quadrature on the damping lattice."""
     return lr_norm_kernel(u.grid, u.coeffs, r)
-
-
-@dataclass(frozen=True)
-class FieldNorms:
-    h: float
-    v: float
-    a: float
-
-
-def norms(u: SpectralVelocity) -> FieldNorms:
-    """Parseval H, V and D(A) norms in one call."""
-    return FieldNorms(h=h_norm(u), v=v_norm(u), a=a_norm(u))
 
 
 def h_distance(a: SpectralVelocity, b: SpectralVelocity) -> float:

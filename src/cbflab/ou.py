@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .params import step_count
 
 _BLOCK = 512
 _BRANCH_POS = 1
@@ -43,27 +44,18 @@ def _innovations(seed: int, branch: int, count: int) -> np.ndarray:
     return np.concatenate(blocks)[:count]
 
 
-def _steps(t: float, h: float, what: str) -> int:
-    n = round(t / h)
-    if abs(n * h - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValidationError(f"{what}: {t} is not a multiple of the step {h}")
-    return int(n)
-
-
 @dataclass(frozen=True)
-class WienerPath:
-    """Scalar two-sided Wiener sample on a uniform grid containing 0."""
+class _GridPath:
+    """Samples ``values[j - j_min]`` at the times j h_w, j_min <= j <= j_max."""
 
     seed: int
     h_w: float
     j_min: int
     j_max: int
     values: np.ndarray
-    xi_pos: np.ndarray  # normalized increments W((j+1)h) - W(jh), j >= 0
-    xi_neg: np.ndarray  # normalized increments building W(-(m+1)h) from W(-mh)
 
     def index(self, t: float) -> int:
-        j = _steps(t, self.h_w, "time")
+        j = step_count(t, self.h_w, "time")
         if not (self.j_min <= j <= self.j_max):
             raise ValidationError(
                 f"time {t} outside path domain [{self.j_min * self.h_w}, "
@@ -72,18 +64,22 @@ class WienerPath:
         return j
 
     def value(self, t: float) -> float:
+        """The sample at grid-aligned time t; z(theta_t omega) on an OUPath."""
         return float(self.values[self.index(t) - self.j_min])
 
-    @property
-    def t_min(self) -> float:
-        return self.j_min * self.h_w
-
-    @property
-    def t_max(self) -> float:
-        return self.j_max * self.h_w
+    def value_at_index(self, j: int) -> float:
+        return float(self.values[j - self.j_min])
 
     def times(self) -> np.ndarray:
         return self.h_w * np.arange(self.j_min, self.j_max + 1)
+
+
+@dataclass(frozen=True)
+class WienerPath(_GridPath):
+    """Scalar two-sided Wiener sample on a uniform grid containing 0."""
+
+    xi_pos: np.ndarray  # normalized increments W((j+1)h) - W(jh), j >= 0
+    xi_neg: np.ndarray  # normalized increments building W(-(m+1)h) from W(-mh)
 
 
 def sample_wiener(seed: int, t_min: float, t_max: float, h_w: float) -> WienerPath:
@@ -94,8 +90,8 @@ def sample_wiener(seed: int, t_min: float, t_max: float, h_w: float) -> WienerPa
         raise ValidationError(
             f"degenerate interval: need t_min < 0 <= t_max, got [{t_min}, {t_max}]"
         )
-    j_min = _steps(t_min, h_w, "t_min")
-    j_max = _steps(t_max, h_w, "t_max")
+    j_min = step_count(t_min, h_w, "t_min")
+    j_max = step_count(t_max, h_w, "t_max")
     sq = math.sqrt(h_w)
     xi_pos = _innovations(seed, _BRANCH_POS, j_max)
     xi_neg = _innovations(seed, _BRANCH_NEG, -j_min)
@@ -112,34 +108,10 @@ def sample_wiener(seed: int, t_min: float, t_max: float, h_w: float) -> WienerPa
 
 
 @dataclass(frozen=True)
-class OUPath:
+class OUPath(_GridPath):
     """Stationary OU samples z(theta_t omega) on the grid of a Wiener path."""
 
     alpha: float
-    seed: int
-    h_w: float
-    j_min: int
-    j_max: int
-    values: np.ndarray
-
-    def index(self, t: float) -> int:
-        j = _steps(t, self.h_w, "time")
-        if not (self.j_min <= j <= self.j_max):
-            raise ValidationError(
-                f"time {t} outside OU domain [{self.j_min * self.h_w}, "
-                f"{self.j_max * self.h_w}]"
-            )
-        return j
-
-    def value(self, t: float) -> float:
-        """z(theta_t omega): the OU value at grid-aligned time t."""
-        return float(self.values[self.index(t) - self.j_min])
-
-    def value_at_index(self, j: int) -> float:
-        return float(self.values[j - self.j_min])
-
-    def times(self) -> np.ndarray:
-        return self.h_w * np.arange(self.j_min, self.j_max + 1)
 
 
 def ou_from_wiener(path: WienerPath, alpha: float) -> OUPath:

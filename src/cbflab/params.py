@@ -1,4 +1,5 @@
-"""Equation parameters and the user-supplied trilinear-estimate constants."""
+"""Equation parameters, the user-supplied trilinear-estimate constants and
+the rule that turns a time span into a whole number of steps."""
 
 from __future__ import annotations
 
@@ -10,6 +11,16 @@ from .fields import SpectralVelocity
 
 #: Marker attached to every condition report built from default constants.
 PROVISIONAL_LABEL = "provisional placeholders"
+
+
+def step_count(t: float, h: float, what: str) -> int:
+    """The number of steps ``h`` in the time ``t``; raises unless ``t`` is a
+    whole multiple of ``h`` to 1e-9 relative.  Every solver horizon and every
+    noise-path index goes through here."""
+    n = round(t / h)
+    if abs(n * h - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValidationError(f"{what}: {t} is not a multiple of the step {h}")
+    return int(n)
 
 
 @dataclass(frozen=True)

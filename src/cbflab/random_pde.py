@@ -24,12 +24,12 @@ from .deterministic import (
     _deterministic_rhs,
     drive,
 )
-from .errors import ValidationError
+from .errors import GridMismatchError, ValidationError
 from .fields import SpectralVelocity, zero_velocity
 from .grid import TorusGrid
 from .operators import h_norm_kernel, nonlinear_kernel, stokes_kernel
 from .ou import OUPath, ou_path
-from .params import PhysicsParams
+from .params import PhysicsParams, step_count
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -182,11 +182,7 @@ def solve_transformed(
     if noise.phi is not None:
         v0.same_grid(noise.phi)
     t0, t1 = interval
-    n_steps = round((t1 - t0) / h)
-    if n_steps < 1 or abs(t0 + n_steps * h - t1) > 1e-9 * max(1.0, abs(t1 - t0)):
-        raise ValidationError(
-            f"interval: [{t0}, {t1}] is not a positive whole number of steps h = {h}"
-        )
+    n_steps = step_count(t1 - t0, h, f"interval [{t0}, {t1}]")
     if noise.epsilon != 0.0:
         if abs(ou.alpha - noise.ou_alpha) > 0:
             raise ValidationError("ou path alpha differs from noise.ou_alpha")
@@ -243,9 +239,8 @@ def pullback_sample(
     noise: NoiseConfig,
     t_pull: float,
     h: float,
-    seed: int | None = None,
     *,
-    grid: TorusGrid | None = None,
+    grid: TorusGrid,
     v0: SpectralVelocity | None = None,
     validate: bool = False,
     pullback_tol: float = 1.0e-6,
@@ -254,37 +249,31 @@ def pullback_sample(
 ) -> PullbackSample:
     """
     Integrate the transformed system from time -t_pull to 0 along the noise
-    path shifted by theta_{-t_pull} and return the state at time 0.
+    path ``noise.seed`` shifted by theta_{-t_pull} and return the state at
+    time 0.  ``t_pull`` must be a whole number n of steps ``h``.
 
-    The initial state defaults to the zero field (any bounded set is pulled
-    in; zero is canonical).  With ``validate=True`` a second run over the
-    half horizon measures the stabilization gap, and the sample is flagged
+    The initial state defaults to the zero field on ``grid`` (any bounded set
+    is pulled in; zero is canonical).  With ``validate=True`` a second run of
+    n // 2 steps measures the stabilization gap, and the sample is flagged
     non-converged when the gap exceeds ``pullback_tol``.
     """
     if t_pull <= 0:
         raise ValidationError(f"t_pull: must be positive, got {t_pull}")
+    n = step_count(t_pull, h, "t_pull")
     mode = noise.mode if noise.mode != NONE else MULTIPLICATIVE
     if v0 is None:
-        if grid is None:
-            if noise.phi is not None:
-                grid = noise.phi.grid
-            elif params.forcing is not None:
-                grid = params.forcing.grid
-            else:
-                raise ValidationError("pullback needs a grid, an initial state, or a field")
         v0 = zero_velocity(grid)
-    grid = v0.grid
-    seed = noise.seed if seed is None else int(seed)
+    elif not v0.grid.compatible(grid):
+        raise GridMismatchError("v0 lives on a different grid than grid")
 
-    def run(horizon: float) -> RandomTrajectory:
-        n = round(horizon / h)
-        ou = ou_path(seed, noise.ou_alpha, t_min=-n * h, t_max=0.0, h_w=h)
+    def run(steps: int) -> RandomTrajectory:
+        ou = ou_path(noise.seed, noise.ou_alpha, t_min=-steps * h, t_max=0.0, h_w=h)
         return solve_transformed(
-            v0, params, noise, ou, (-n * h, 0.0), h,
+            v0, params, noise, ou, (-steps * h, 0.0), h,
             cfl_safety=cfl_safety, blowup_guard=blowup_guard,
         )
 
-    traj = run(t_pull)
+    traj = run(n)
     state = traj.v.final_state
     recon = traj.u_states[-1]
     z0 = traj.z_at_samples[-1]
@@ -292,7 +281,7 @@ def pullback_sample(
     converged = True
     gap = None
     if validate:
-        half = run(t_pull / 2.0)
+        half = run(n // 2)
         gap = h_norm_kernel(grid, state.coeffs - half.v.final_state.coeffs)
         converged = gap <= pullback_tol
 
@@ -300,7 +289,7 @@ def pullback_sample(
         state=state,
         reconstructed=recon,
         t_pull=t_pull,
-        seed=seed,
+        seed=noise.seed,
         epsilon=noise.epsilon,
         mode=mode,
         converged=converged,

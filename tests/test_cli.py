@@ -238,8 +238,17 @@ def test_forcing_h_norm_applies_to_every_spec(tmp_path, kind):
         ("huge.cfg", BASE.replace("mu = 1.0", "mu = 1e200").encode()),  # mu**2 overflows
         ("eta3.cfg", BASE.replace("dim = 2", "dim = 3").replace("r = 3.0", "r = 3.0000000001")
          .replace("k=(1,0) a=(0j,(1+0j))", "k=(1,0,0) a=(0j,(1+0j),0j)").encode()),
+        ("nan-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = nan").encode()),
+        ("neg-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = -1").encode()),
+        ("nan-mode.cfg", BASE.replace("a=(0j,(1+0j))", "a=(nan,nanj)").encode()),
+        ("unforced.cfg", BASE.replace("modes k=(1,0) a=(0j,(1+0j))", "none").encode()),
+        ("seeds.cfg", (BASE + "\n[noise]\nn_samples = 2000000\n").encode()),
     ],
-    ids=["bad-json", "not-utf8", "missing-field-file", "mu-overflow", "eta3-overflow"],
+    ids=[
+        "bad-json", "not-utf8", "missing-field-file", "mu-overflow", "eta3-overflow",
+        "nan-forcing-h-norm", "negative-forcing-h-norm", "nan-forcing-mode",
+        "forcing-h-norm-without-forcing", "too-many-noise-seeds",
+    ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, name, payload):
     cfg = tmp_path / name
@@ -249,3 +258,62 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, name, paylo
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+FIT = json.dumps({
+    "slope": 1.0, "intercept": 0.0, "delta_theory": 1.0, "eps_grid": [0.1, 0.05, 0.025],
+    "n_samples": 2, "residuals": [0.0, 0.0, 0.0], "log_means": [-1.0, -2.0, -3.0],
+})
+RECORDS = "epsilon,seed,mode,r,dist_h,t_pull,converged\n0.1,0,multiplicative,3.0,0.5,8.0,True\n"
+
+
+@pytest.mark.parametrize(
+    "fit, records, code",
+    [
+        (FIT, RECORDS, 0),
+        ('{"slope": 1}', None, 2),
+        ('{"slope": ', None, 2),
+        ("[1, 2]", None, 2),
+        (FIT.replace('"slope": 1.0', '"slope": "steep"'), None, 2),
+        (FIT.replace("0.025]", "0.0]"), None, 2),
+        (FIT, "epsilon,seed\n0.1,0\n", 2),
+        (FIT, RECORDS.replace("0.5", "far"), 2),
+    ],
+    ids=[
+        "valid", "missing-keys", "truncated", "not-an-object", "non-numeric-slope",
+        "zero-epsilon", "records-missing-column", "records-non-numeric",
+    ],
+)
+def test_report_rejects_malformed_sweep_output(tmp_path, capsys, fit, records, code):
+    src = tmp_path / "sweep"
+    src.mkdir()
+    (src / "fit.json").write_text(fit)
+    if records is not None:
+        (src / "records.csv").write_text(records)
+    out = tmp_path / "rep"
+    assert main(["report", "--config", str(src), "--out", str(out), "--format", "svg"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")
+    else:
+        assert (out / "fit.svg").read_text().startswith("<svg")
+
+
+PULLBACK = BASE + (
+    "\n[noise]\nmode = multiplicative\nepsilon = 0.1\nou_alpha = 2.5\nseed = 1\n"
+    "\n[solver]\nh = 0.01\nt_pull = 0.5\npullback_tol = 0.5\n"
+)
+
+
+def test_pullback_rejects_horizon_of_partial_steps(tmp_path, capsys):
+    cfg = write(tmp_path, "p.cfg", PULLBACK.replace("t_pull = 0.5", "t_pull = 0.035"))
+    assert main(["pullback", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "t_pull: 0.035 is not a multiple of the step 0.01" in capsys.readouterr().err
+
+
+def test_pullback_seed_offset_shifts_the_noise_seed(tmp_path):
+    cfg = write(tmp_path, "p.cfg", PULLBACK)
+    out = tmp_path / "o"
+    assert main(["pullback", "--config", cfg, "--out", str(out), "--seed-offset", "2"]) == 0
+    assert json.loads((out / "pullback_sample.json").read_text())["seed"] == 3

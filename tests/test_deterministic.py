@@ -158,12 +158,13 @@ def test_find_singleton_requires_condition(grid2d_small, constants):
     p = PhysicsParams(mu=0.4, beta=1.0, r=3.0, forcing=f)
     with pytest.raises(ValidationError):
         find_singleton(p, grid2d_small, tol=1e-6, maxT=1.0, n_probes=2, h=0.002)
-    # warn-only override still runs (and may simply not converge)
-    res = find_singleton(
-        p, grid2d_small, tol=1e-6, maxT=0.2, n_probes=2, h=0.002,
-        allow_unverified=True,
-    )
-    assert res.converged is False
+
+
+def test_find_singleton_rejects_darcy(grid2d_small):
+    # the singleton conditions are stated for darcy = 0
+    p = PhysicsParams(mu=1.0, beta=1.0, r=3.0, darcy=0.5)
+    with pytest.raises(ValidationError):
+        find_singleton(p, grid2d_small, tol=1e-6, maxT=1.0, n_probes=2, h=0.02)
 
 
 def test_find_singleton_nonconvergence_path(grid2d_small):

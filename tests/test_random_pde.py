@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cbflab import (
+    GridMismatchError,
     NoiseConfig,
     PhysicsParams,
     TorusGrid,
@@ -18,6 +19,7 @@ from cbflab import (
     solve_transformed,
     zero_velocity,
 )
+from cbflab.operators import h_norm_kernel
 
 @pytest.fixture(scope="module")
 def setup2d():
@@ -197,3 +199,25 @@ def test_pullback_ladder_stabilizes(setup2d):
         h_norm(type(samples[5.0].state)(g, samples[10.0].state.coeffs - samples[20.0].state.coeffs)),
     ]
     assert gaps[1] < gaps[0]
+
+
+def test_pullback_horizon_is_whole_steps(setup2d):
+    g, params, phi = setup2d
+    nz = NoiseConfig(mode="multiplicative", epsilon=0.1, ou_alpha=1.0, seed=32)
+    for validate in (False, True):
+        with pytest.raises(ValidationError):
+            pullback_sample(params, nz, 0.035, 0.01, grid=g, validate=validate)
+    # the halving run of n = 7 steps takes n // 2 = 3 steps on the same path
+    s = pullback_sample(params, nz, 0.07, 0.01, grid=g, validate=True)
+    half = pullback_sample(params, nz, 0.03, 0.01, grid=g)
+    assert s.doubling_gap == h_norm_kernel(g, s.state.coeffs - half.state.coeffs) > 0.0
+    assert (s.seed, s.t_pull) == (nz.seed, 0.07)
+
+
+def test_pullback_initial_state_on_its_grid(setup2d):
+    g, _, _ = setup2d
+    unforced = PhysicsParams(mu=1.0, beta=1.0, r=3.0)  # no forcing: only ``grid`` names one
+    nz = NoiseConfig(mode="multiplicative", epsilon=0.1, ou_alpha=1.0, seed=33)
+    other = probe_field(TorusGrid(dim=2, N=32, L=2.0 * math.pi), 1)
+    with pytest.raises(GridMismatchError):
+        pullback_sample(unforced, nz, 1.0, 0.01, grid=g, v0=other)

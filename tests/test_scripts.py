@@ -1,0 +1,34 @@
+"""The scripts under scripts/ load against the current API and run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"cbflab_script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_imports(path):
+    assert callable(_load(path).main)
+
+
+def test_check_operator_identities_runs(monkeypatch, capsys):
+    script = _load(next(p for p in SCRIPTS if p.name == "check_operator_identities.py"))
+    monkeypatch.setattr(sys, "argv", ["check_operator_identities.py", "16"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("N = 16,")
+    pairs = (line.split(" = ", 1) for line in lines[1:])
+    values = {name.strip(): float(rest.split()[0]) for name, rest in pairs}
+    assert len(values) == 5
+    for name, value in values.items():
+        assert value >= 0.0 if name == "Poincare slack" else abs(value) < 1e-10, name
