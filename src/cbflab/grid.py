@@ -8,10 +8,29 @@ rest being their conjugate mirrors.  The time integrators keep their state in
 the half layout; ``to_half`` and ``to_full`` convert at the API boundary, and
 the mirror is rebuilt only there.  Padding and truncation move the 2^(dim-1)
 frequency corner blocks with contiguous slice copies in either direction.
+
+Transforms to and from a padded m-lattice run through the pruned pair of a
+grid's `Workspace`.  The inverse writes the corner blocks into a zeroed
+complex scratch and runs the leading-axis inverse FFTs in place, in numpy's
+``irfftn`` order, only on the last-axis columns below N/2: the other columns
+are identically zero.  Each leading-axis pass also skips the rows of the
+leading axes it does not transform yet, which are zero too.  One ``irfft``
+over the last axis finishes it.  The forward transform is the mirror image in
+``rfftn`` order: it skips the columns and rows that the truncation to the
+retained lattice throws away.  Every line of a pass is the same 1D transform
+that ``irfftn``/``rfftn`` would run, so the results are bit-identical to
+``irfftn(pad_half(...))`` and ``truncate_half(rfftn(...))``.
+
+The scratch is one flat complex and one flat real array per grid, cached by
+grid (``workspace``) rather than stored in the frozen `TorusGrid`, grown to
+the largest request and viewed per lattice.  Nothing that leaves a public
+function aliases it.  The kernels that use it are not reentrant: cbflab runs
+one thread per process.  ``out=`` on ``numpy.fft`` needs numpy 2.0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -174,23 +193,27 @@ class TorusGrid:
 
     # -- padded-lattice plumbing ---------------------------------------------
     #
-    # Physical fields are real, so transforms run through rfftn/irfftn on a
-    # half-spectrum whose last axis keeps only nonnegative frequencies.
+    # Physical fields are real, so transforms run on a half-spectrum whose
+    # last axis keeps only nonnegative frequencies.
 
     def padded_size(self, factor: float) -> int:
         m = math.ceil(self.N * factor)
         return m + (m % 2)
 
-    def pad_half(self, coeffs: np.ndarray, m: int) -> np.ndarray:
+    def pad_half(self, coeffs: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
         """Embed retained coefficients into the rfft half-lattice of size m.
 
         ``coeffs`` may be in the full or the half layout: only nonnegative
-        last-axis frequencies are read.
+        last-axis frequencies are read.  The result goes into ``out`` (zeroed
+        first) when it is given, else into a new array.
         """
-        out = np.zeros(
-            coeffs.shape[: -self.dim] + (m,) * (self.dim - 1) + (m // 2 + 1,),
-            dtype=complex,
-        )
+        if out is None:
+            out = np.zeros(
+                coeffs.shape[: -self.dim] + (m,) * (self.dim - 1) + (m // 2 + 1,),
+                dtype=complex,
+            )
+        else:
+            out.fill(0.0)
         for small, padded in _blocks(self.N, self.dim, m):
             out[padded] = coeffs[small]
         return out
@@ -214,9 +237,9 @@ class TorusGrid:
         layout is accepted, as in ``pad_half``.
         """
         m = self.padded_size(factor) if factor > 1.0 else self.N
-        axes = tuple(range(-self.dim, 0))
-        half = self.pad_half(coeffs, m)
-        vals = np.fft.irfftn(half, s=(m,) * self.dim, axes=axes) * float(m**self.dim)
+        vals = np.empty(coeffs.shape[: -self.dim] + (m,) * self.dim)
+        workspace(self).padded_irfft(coeffs, m, vals)
+        vals *= float(m**self.dim)
         return vals, m
 
     def from_phys(self, values: np.ndarray, m: int) -> np.ndarray:
@@ -224,9 +247,8 @@ class TorusGrid:
 
         The returned array is exactly Hermitian and its mean mode is zero.
         """
-        axes = tuple(range(-self.dim, 0))
-        spectrum = np.fft.rfftn(values, axes=axes)
-        half = self.truncate_half(spectrum, m) / float(m**self.dim)
+        half = workspace(self).truncated_rfft(values, m)
+        half /= float(m**self.dim)
         self.symmetrize_plane(half)
         half[(...,) + (0,) * self.dim] = 0.0
         return self.to_full(half)
@@ -234,6 +256,84 @@ class TorusGrid:
     def negate_modes(self, coeffs: np.ndarray) -> np.ndarray:
         """Reindex a full-layout array by k -> -k on the FFT lattice."""
         return _negate_axes(coeffs, range(-self.dim, 0))
+
+
+class Workspace:
+    """Scratch arrays of one grid and the pruned padded transform pair on them.
+
+    Views handed out by ``real`` and the scratch the transforms use are valid
+    until the next call into the same workspace; callers copy out anything
+    they return.
+    """
+
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
+        #: the flat scratch of each dtype, grown to the largest request
+        self.flat = {float: np.empty(0), complex: np.empty(0, dtype=complex)}
+
+    def _view(self, dtype, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        if self.flat[dtype].size < size:
+            self.flat[dtype] = np.empty(size, dtype=dtype)
+        return self.flat[dtype][:size].reshape(shape)
+
+    def real(self, count: int, m: int) -> np.ndarray:
+        """A (count, m, ..., m) view of the real scratch."""
+        return self._view(float, (count,) + (m,) * self.grid.dim)
+
+    def _half_lattice(self, lead: tuple, m: int) -> np.ndarray:
+        return self._view(complex, lead + (m,) * (self.grid.dim - 1) + (m // 2 + 1,))
+
+    def padded_irfft(self, coeffs: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+        """``irfftn(grid.pad_half(coeffs, m))`` over the lattice axes, into ``out``, bit for bit.
+
+        Unnormalized like ``irfftn``: the caller scales by m^dim.
+        """
+        grid = self.grid
+        spec = grid.pad_half(coeffs, m, self._half_lattice(coeffs.shape[: -grid.dim], m))
+        for axis, views in _pruned_passes(grid.N, grid.dim, m):
+            for view in views:
+                np.fft.ifft(spec[view], axis=axis, out=spec[view])
+        return np.fft.irfft(spec, n=m, axis=-1, out=out)
+
+    def truncated_rfft(self, values: np.ndarray, m: int) -> np.ndarray:
+        """``grid.truncate_half(rfftn(values), m)`` over the lattice axes, bit for bit.
+
+        The result is a new array; it does not alias the scratch.
+        """
+        grid = self.grid
+        spec = self._half_lattice(values.shape[: -grid.dim], m)
+        np.fft.rfft(values, axis=-1, out=spec)
+        for axis, views in reversed(_pruned_passes(grid.N, grid.dim, m)):
+            for view in views:
+                np.fft.fft(spec[view], axis=axis, out=spec[view])
+        return grid.truncate_half(spec, m)
+
+
+@lru_cache(maxsize=4)
+def workspace(grid: TorusGrid) -> Workspace:
+    """The workspace of ``grid``; equal grids share one."""
+    return Workspace(grid)
+
+
+@lru_cache(maxsize=64)
+def _pruned_passes(n: int, dim: int, m: int) -> tuple:
+    """(axis, views) of the leading-axis passes of a pruned inverse, in ``irfftn`` order.
+
+    Each view keeps the last-axis columns below n/2 and, on every leading
+    axis after ``axis``, the two blocks of retained rows; the forward
+    transform runs the same passes in reverse order.
+    """
+    n2 = n // 2
+    rows = (slice(0, n2), slice(m - n2 + 1, m))
+    passes = []
+    for axis in range(-dim, -1):
+        views = [
+            (Ellipsis,) + combo + (slice(0, n2),)
+            for combo in itertools.product(rows, repeat=-2 - axis)
+        ]
+        passes.append((axis, tuple(views)))
+    return tuple(passes)
 
 
 @lru_cache(maxsize=64)

@@ -8,6 +8,12 @@ lattice and the damping |u|^(r-1) u on the 2x lattice, truncates both back
 by block copies, sums them and applies the grid's Leray projector once.  The
 full-layout `bilinear_kernel` and `damping_kernel` are thin wrappers over the
 same half-layout pieces.
+
+The padded fields, products and damping weights live in the grid's
+`workspace` scratch and go through its pruned transform pair (see `grid`), so
+a warm call allocates only its half-layout results, which never alias the
+scratch.  The kernels are therefore not reentrant; cbflab runs one thread per
+process.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .errors import MeanViolationError, ValidationError
 from .fields import SpectralVelocity
-from .grid import DAMPING_PAD, QUADRATIC_PAD, TorusGrid
+from .grid import DAMPING_PAD, QUADRATIC_PAD, TorusGrid, workspace
 
 #: Divergence below ``SNAP_TOL * max(1, |u_k|)`` is treated as exact zero, so
 #: projecting twice returns the first result bit-for-bit.
@@ -96,6 +102,15 @@ def _project_half(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_squares(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """|u|^2 pointwise into ``out``, bit for bit ``np.sum(u * u, axis=0)``."""
+    np.multiply(u[0], u[0], out=out)
+    for comp in u[1:]:
+        np.multiply(comp, comp, out=tmp)
+        out += tmp
+    return out
+
+
 def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
     """Unprojected, dealiased scale * d_i(u_i v_j) in the half layout, and max |u|.
 
@@ -105,44 +120,51 @@ def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
     """
     dim = grid.dim
     m = grid.padded_size(max(grid.dealias_factor, QUADRATIC_PAD))
-    axes = tuple(range(-dim, 0))
-    shape = (m,) * dim
     points = float(m**dim)
-    u = np.fft.irfftn(grid.pad_half(u_half, m), s=shape, axes=axes)
-    u *= points
+    ws = workspace(grid)
     if v_half is None:
-        v = u
         pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+        fields = 1
     else:
-        v = np.fft.irfftn(grid.pad_half(v_half, m), s=shape, axes=axes)
-        v *= points
         pairs = [(i, j) for i in range(dim) for j in range(dim)]
-    prods = np.empty((len(pairs),) + shape)
+        fields = 2
+    work = ws.real(fields * dim + len(pairs), m)
+    u, prods = work[:dim], work[fields * dim :]
+    ws.padded_irfft(u_half, m, u)
+    u *= points
+    v = u
+    if v_half is not None:
+        v = ws.padded_irfft(v_half, m, work[dim : 2 * dim])
+        v *= points
+    # the product slots are free until the products are formed
+    vmax = float(np.sqrt(np.max(_sum_squares(u, prods[0], prods[1]))))
     for p, (i, j) in enumerate(pairs):
         np.multiply(u[i], v[j], out=prods[p])
-    flux = grid.truncate_half(np.fft.rfftn(prods, axes=axes), m)
+    flux = ws.truncated_rfft(prods, m)
     grad = (2j * np.pi / grid.L * scale / points) * grid.half_k
     out = np.zeros((dim,) + grid.half_shape, dtype=complex)
     for p, (i, j) in enumerate(pairs):
         out[j] += grad[i] * flux[p]
         if v_half is None and i != j:
             out[i] += grad[j] * flux[p]
-    return out, float(np.sqrt(np.max(np.sum(u * u, axis=0))))
+    return out, vmax
 
 
 def _damping_half(grid: TorusGrid, u_half, r: float, scale: float = 1.0):
     """Unprojected scale * |u|^(r-1) u in the half layout, from the 2x lattice (r > 1)."""
     dim = grid.dim
     m = grid.padded_size(max(grid.dealias_factor, DAMPING_PAD))
-    axes = tuple(range(-dim, 0))
     points = float(m**dim)
-    u = np.fft.irfftn(grid.pad_half(u_half, m), s=(m,) * dim, axes=axes)
+    ws = workspace(grid)
+    work = ws.real(dim + 2, m)
+    u, weight = work[:dim], work[dim]
+    ws.padded_irfft(u_half, m, u)
     u *= points
-    weight = np.sum(u * u, axis=0)  # |u|^(r-1) is this to the power (r-1)/2
+    _sum_squares(u, weight, work[dim + 1])  # |u|^(r-1) is this to the power (r-1)/2
     if r != 3.0:
-        weight = np.power(weight, 0.5 * (r - 1.0))
+        np.power(weight, 0.5 * (r - 1.0), out=weight)
     u *= weight
-    out = grid.truncate_half(np.fft.rfftn(u, axes=axes), m)
+    out = ws.truncated_rfft(u, m)
     out *= scale / points
     return out
 

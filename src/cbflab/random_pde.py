@@ -191,9 +191,8 @@ def solve_transformed(
     else:
         j0 = 0
 
-    additive = noise.mode == ADDITIVE
-    builder = _additive_rhs if additive else _multiplicative_rhs
-    rhs = builder(grid, params, noise, ou, j0)
+    make_rhs = _additive_rhs if noise.mode == ADDITIVE else _multiplicative_rhs
+    rhs = make_rhs(grid, params, noise, ou, j0)
     f_coeffs = None if params.forcing is None else params.forcing.coeffs
     traj = drive(
         grid, v0.coeffs, rhs, params.mu, h, n_steps,
@@ -202,21 +201,25 @@ def solve_transformed(
     )
 
     eps = noise.epsilon
-    u_states, z_samples = [], []
-    for ts, state in zip(traj.sample_times, traj.states):
-        z = ou.value(ts) if eps != 0.0 else 0.0
-        z_samples.append(z)
-        if eps == 0.0:
-            u_states.append(state)
-        elif additive:
-            u_states.append(
-                SpectralVelocity(grid, state.coeffs + (eps * z) * noise.phi.coeffs)
-            )
-        else:
-            u_states.append(SpectralVelocity(grid, math.exp(eps * z) * state.coeffs))
+    z_samples = [ou.value(ts) if eps != 0.0 else 0.0 for ts in traj.sample_times]
+    u_states = [
+        _reconstruct(state, noise.mode, eps, z, noise.phi)
+        for state, z in zip(traj.states, z_samples)
+    ]
     return RandomTrajectory(
         v=traj, u_states=u_states, z_at_samples=z_samples, mode=noise.mode, epsilon=eps
     )
+
+
+def _reconstruct(
+    v: SpectralVelocity, mode: str, eps: float, z: float, phi: SpectralVelocity | None
+) -> SpectralVelocity:
+    """The velocity u of a transformed state v at OU value z: v + eps z Phi or e^{eps z} v."""
+    if eps == 0.0:
+        return v
+    if mode == ADDITIVE:
+        return SpectralVelocity(v.grid, v.coeffs + (eps * z) * phi.coeffs)
+    return SpectralVelocity(v.grid, math.exp(eps * z) * v.coeffs)
 
 
 @dataclass
@@ -224,7 +227,6 @@ class PullbackSample:
     """Time-zero state of a pullback run: the attractor-sample approximation."""
 
     state: SpectralVelocity        # transformed variable v at time 0
-    reconstructed: SpectralVelocity  # u = v + eps z Phi  or  e^{eps z} v
     t_pull: float
     seed: int
     epsilon: float
@@ -232,6 +234,12 @@ class PullbackSample:
     converged: bool
     doubling_gap: float | None
     z_at_zero: float
+    phi: SpectralVelocity | None = None  # the additive noise profile
+
+    @property
+    def reconstructed(self) -> SpectralVelocity:
+        """u = v + eps z Phi or e^{eps z} v at time 0, derived from ``state`` on access."""
+        return _reconstruct(self.state, self.mode, self.epsilon, self.z_at_zero, self.phi)
 
 
 def pullback_sample(
@@ -275,7 +283,6 @@ def pullback_sample(
 
     traj = run(n)
     state = traj.v.final_state
-    recon = traj.u_states[-1]
     z0 = traj.z_at_samples[-1]
 
     converged = True
@@ -287,7 +294,6 @@ def pullback_sample(
 
     return PullbackSample(
         state=state,
-        reconstructed=recon,
         t_pull=t_pull,
         seed=noise.seed,
         epsilon=noise.epsilon,
@@ -295,4 +301,5 @@ def pullback_sample(
         converged=converged,
         doubling_gap=gap,
         z_at_zero=z0,
+        phi=noise.phi,
     )

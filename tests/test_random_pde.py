@@ -103,6 +103,17 @@ def test_multiplicative_reconstruction_identity(setup2d):
         assert np.array_equal(u_state.coeffs, expected)
 
 
+@pytest.mark.parametrize("mode,eps", [("additive", 0.3), ("multiplicative", 0.4), ("none", 0.0)])
+def test_pullback_reconstruction_is_the_trajectory_velocity(setup2d, mode, eps):
+    g, params, phi = setup2d
+    nz = NoiseConfig(mode=mode, epsilon=eps, phi=phi if mode == "additive" else None, seed=3)
+    s = pullback_sample(params, nz, 0.5, 0.01, grid=g)
+    z = ou_path(3, nz.ou_alpha, -0.5, 0.0, 0.01)
+    traj = solve_transformed(zero_velocity(g), params, nz, z, (-0.5, 0.0), 0.01)
+    assert s.state.coeffs.tobytes() == traj.v.final_state.coeffs.tobytes()
+    assert s.reconstructed.coeffs.tobytes() == traj.u_states[-1].coeffs.tobytes()
+
+
 def test_additive_zero_profile_decays_like_deterministic():
     # f = 0 and a zero noise profile: the noise has nothing to act through
     g = TorusGrid(dim=2, N=16)

@@ -32,3 +32,16 @@ def test_check_operator_identities_runs(monkeypatch, capsys):
     assert len(values) == 5
     for name, value in values.items():
         assert value >= 0.0 if name == "Poincare slack" else abs(value) < 1e-10, name
+
+
+def test_kernel_timing_runs(monkeypatch, capsys):
+    script = _load(next(p for p in SCRIPTS if p.name == "kernel_timing.py"))
+    monkeypatch.setattr(sys, "argv", ["kernel_timing.py", "1"])
+    script.main()
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[:3] for row in rows] == [
+        [f"{dim}D", f"N={n}", f"r={r:g}"] for dim, n in script.CASES for r in script.EXPONENTS
+    ]
+    for row in rows:
+        us, peak_kb, faults = map(float, row.split()[3:])
+        assert us > 0.0 and peak_kb > 0.0 and faults >= 0.0
