@@ -31,16 +31,8 @@ EXIT_UNEXPECTED = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_BLOWUP = 4
-
-SUBCOMMANDS = (
-    "check-conditions",
-    "simulate",
-    "singleton",
-    "pullback",
-    "sweep",
-    "ou-diagnostics",
-    "report",
-)
+#: Exit codes of the errors that do not mean a validation failure.
+_EXIT_CODES = {NonConvergenceError: EXIT_NONCONVERGENCE, BlowUpError: EXIT_BLOWUP}
 
 logger = logging.getLogger(__name__)
 
@@ -374,24 +366,25 @@ def _cmd_report(cfg_path, out_dir, args):
     return artifacts, EXIT_OK
 
 
+#: The subcommands that run a config, in the order ``--help`` lists them.
+_COMMANDS = {
+    "check-conditions": _cmd_check_conditions,
+    "simulate": _cmd_simulate,
+    "singleton": _cmd_singleton,
+    "pullback": _cmd_pullback,
+    "sweep": _cmd_sweep,
+    "ou-diagnostics": _cmd_ou_diagnostics,
+}
+
+
 def run(subcommand: str, config_path: str, out_dir: str, args) -> int:
     """Dispatch a subcommand; returns the process exit code."""
     os.makedirs(out_dir, exist_ok=True)
     if subcommand == "report":
-        artifacts, code = _cmd_report(config_path, out_dir, args)
-        return code
+        return _cmd_report(config_path, out_dir, args)[1]
 
-    config_text = _load_config_text(config_path)
-    cfg = parse_config(config_text)
-    table = {
-        "check-conditions": _cmd_check_conditions,
-        "simulate": _cmd_simulate,
-        "singleton": _cmd_singleton,
-        "pullback": _cmd_pullback,
-        "sweep": _cmd_sweep,
-        "ou-diagnostics": _cmd_ou_diagnostics,
-    }
-    artifacts, code = table[subcommand](cfg, out_dir, args)
+    cfg = parse_config(_load_config_text(config_path))
+    artifacts, code = _COMMANDS[subcommand](cfg, out_dir, args)
     constants = EstimateConstants(
         c1=cfg.constants.c1, c2=cfg.constants.c2, c3=cfg.constants.c3
     )
@@ -410,28 +403,19 @@ def main(argv=None) -> int:
         "flow on the torus: attractor conditions, pathwise random dynamics, "
         "and convergence-rate sweeps.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=(*_COMMANDS, "report"))
     parser.add_argument("--config", required=True, help="config file, or a manifest.json")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
-    parser.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    parser.add_argument("--format", choices=("csv", "svg"), default="csv")
     args = parser.parse_args(argv)
 
     try:
         return run(args.subcommand, args.config, args.out, args)
-    except ValidationError as exc:
-        for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
     except CBFError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        for line in getattr(exc, "violations", [exc]):
+            print(f"error: {line}", file=sys.stderr)
+        return _EXIT_CODES.get(type(exc), EXIT_VALIDATION)
     except ArithmeticError as exc:
         # Python float arithmetic raises on overflow and on a zero divisor, e.g.
         # mu**2 at mu = 1e200 or the 3D eta3 power just above r = 3

@@ -27,7 +27,7 @@ from .fields import (
     SpectralVelocity, random_field, read_field, rescale_to_h, single_mode_field,
 )
 from .grid import TorusGrid
-from .params import EstimateConstants, PhysicsParams
+from .params import EstimateConstants, PhysicsParams, SolverSettings
 from .random_pde import NoiseConfig
 
 
@@ -183,15 +183,7 @@ class NoiseSection:
 
 
 @dataclass(frozen=True)
-class SolverSection:
-    h: float = 0.01
-    T: float = 10.0
-    t_pull: float = 40.0
-    tol: float = 1.0e-8
-    pullback_tol: float = 1.0e-4
-    cfl_safety: float = 0.4
-    blowup_guard: float = 1.0e6
-    n_probes: int = 3
+class SolverSection(SolverSettings):
     initial: object = field(default_factory=NoneSpec)
 
 
@@ -204,7 +196,7 @@ class ConstantsSection:
 
 @dataclass(frozen=True)
 class OutputSection:
-    snapshot_every: int = 0
+    snapshot_every: int = SolverSettings.snapshot_every
 
 
 @dataclass(frozen=True)
@@ -217,14 +209,8 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
 
-_SECTIONS = {
-    "grid": GridSection,
-    "physics": PhysicsSection,
-    "noise": NoiseSection,
-    "solver": SolverSection,
-    "constants": ConstantsSection,
-    "output": OutputSection,
-}
+#: Section name -> section class, in RunConfig's (and the serialized) order.
+_SECTIONS = {f.name: f.default_factory for f in dc_fields(RunConfig)}
 
 _FIELD_SPEC_KEYS = {"forcing", "phi", "initial"}
 
@@ -245,12 +231,6 @@ def _convert(section, key, raw, line_no, problems):
             return ()
     if key == "mode":
         return raw.strip()
-    if key == "forcing_h_norm":
-        try:
-            return float(raw)
-        except ValueError:
-            problems.append(f"line {line_no}: {where}: bad number {raw!r}")
-            return None
     cls = _SECTIONS[section]
     hint = {f.name: f.type for f in dc_fields(cls)}[key]
     try:
@@ -312,8 +292,9 @@ def validate_config(cfg: RunConfig) -> list:
 
     The grid, physics, noise and constants rules are those of ``TorusGrid``,
     ``PhysicsParams``, ``NoiseConfig`` and ``EstimateConstants``, checked on
-    the scalars without building a lattice; the rest are run settings that
-    no domain type owns.
+    the scalars without building a lattice, and the solver and snapshot
+    rules are ``SolverSettings.violations``; the rest are run settings that no
+    domain type owns.
     """
     g, ph, nz, sv, cs = cfg.grid, cfg.physics, cfg.noise, cfg.solver, cfg.constants
     p = TorusGrid.violations(g.dim, g.N, g.L, g.dealias_factor)
@@ -342,38 +323,18 @@ def validate_config(cfg: RunConfig) -> list:
         p.append("physics.darcy: random dynamics require darcy = 0")
     if not (1 <= nz.n_samples <= MAX_SAMPLES):
         p.append(f"noise.n_samples: must lie in [1, {MAX_SAMPLES}], got {nz.n_samples}")
-    if not sv.h > 0:
-        p.append(f"solver.h: must be positive, got {sv.h}")
-    if not sv.T > 0:
-        p.append(f"solver.T: must be positive, got {sv.T}")
-    if not sv.t_pull > 0:
-        p.append(f"solver.t_pull: must be positive, got {sv.t_pull}")
-    if not sv.tol > 0:
-        p.append(f"solver.tol: must be positive, got {sv.tol}")
-    if not sv.pullback_tol > 0:
-        p.append(f"solver.pullback_tol: must be positive, got {sv.pullback_tol}")
-    if not (0.0 < sv.cfl_safety <= 1.0):
-        p.append(f"solver.cfl_safety: must lie in (0, 1], got {sv.cfl_safety}")
-    if not sv.blowup_guard > 0:
-        p.append(f"solver.blowup_guard: must be positive, got {sv.blowup_guard}")
-    if sv.n_probes < 2:
-        p.append(f"solver.n_probes: must be >= 2, got {sv.n_probes}")
-    if cfg.output.snapshot_every < 0:
-        p.append("output.snapshot_every: must be >= 0")
+    p += SolverSettings.violations(
+        **{f.name: getattr(sv, f.name) for f in dc_fields(SolverSettings)},
+        snapshot_every=cfg.output.snapshot_every,
+    )
     return p
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(text))) == parse(text)."""
     out = []
-    for name, section in (
-        ("grid", cfg.grid),
-        ("physics", cfg.physics),
-        ("noise", cfg.noise),
-        ("solver", cfg.solver),
-        ("constants", cfg.constants),
-        ("output", cfg.output),
-    ):
+    for name in _SECTIONS:
+        section = getattr(cfg, name)
         out.append(f"[{name}]")
         for f in dc_fields(section):
             val = getattr(section, f.name)

@@ -23,12 +23,9 @@ from .errors import BlowUpError, CFLViolationError, ValidationError
 from .fields import SpectralVelocity, random_field
 from .grid import TorusGrid
 from .operators import h_norm_kernel, lr_norm_kernel, nonlinear_kernel
-from .params import EstimateConstants, PhysicsParams, step_count
+from .params import EstimateConstants, PhysicsParams, SolverSettings, step_count
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_CFL_SAFETY = 0.4
-DEFAULT_BLOWUP_GUARD = 1.0e6
 
 
 @dataclass
@@ -92,10 +89,10 @@ def drive(
     h: float,
     n_steps: int,
     *,
-    sample_every: int = 0,
+    sample_every: int = SolverSettings.snapshot_every,
     record_lr: float | None = None,
-    cfl_safety: float = DEFAULT_CFL_SAFETY,
-    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
+    cfl_safety: float = SolverSettings.cfl_safety,
+    blowup_guard: float = SolverSettings.blowup_guard,
     t0: float = 0.0,
     f_coeffs: np.ndarray | None = None,
 ):
@@ -109,8 +106,9 @@ def drive(
     mirror rebuilt once per snapshot) hold the initial state, every
     ``sample_every``-th step and the final state.
     """
-    if h <= 0:
-        raise ValidationError(f"solver.h: step must be positive, got {h}")
+    SolverSettings.check(
+        h=h, snapshot_every=sample_every, cfl_safety=cfl_safety, blowup_guard=blowup_guard
+    )
     if n_steps < 1:
         raise ValidationError(f"horizon: need at least one step of h = {h}, got {n_steps}")
     ex = integrating_factor(grid, mu, h)
@@ -184,12 +182,13 @@ def simulate(
     T: float,
     h: float,
     *,
-    sample_every: int = 0,
+    sample_every: int = SolverSettings.snapshot_every,
     record_lr: bool = False,
-    cfl_safety: float = DEFAULT_CFL_SAFETY,
-    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
+    cfl_safety: float = SolverSettings.cfl_safety,
+    blowup_guard: float = SolverSettings.blowup_guard,
 ) -> Trajectory:
     """Integrate the deterministic system over [0, T]."""
+    SolverSettings.check(h=h, T=T)  # drive checks the rest
     grid = u0.grid
     params.validate_for_dim(grid.dim)
     if params.forcing is not None:
@@ -254,28 +253,31 @@ class SingletonResult:
 def find_singleton(
     params: PhysicsParams,
     grid: TorusGrid,
-    tol: float = 1.0e-8,
-    maxT: float = 200.0,
-    n_probes: int = 3,
+    tol: float = SolverSettings.tol,
+    maxT: float = SolverSettings.T,
+    n_probes: int = SolverSettings.n_probes,
     *,
-    h: float = 0.01,
+    h: float = SolverSettings.h,
     check_every: float = 1.0,
     base_seed: int = 1000,
     constants: EstimateConstants | None = None,
-    cfl_safety: float = DEFAULT_CFL_SAFETY,
-    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
+    cfl_safety: float = SolverSettings.cfl_safety,
+    blowup_guard: float = SolverSettings.blowup_guard,
 ) -> SingletonResult:
     """
     Contract several independent trajectories onto the attractor point.
 
     Probes start from reproducible random data and run until every pairwise
     H-distance and the discrete drift |u(t+h) - u(t)|_H / h fall below
-    ``tol``, or until ``maxT``.  The contraction log records
-    (t, max pairwise distance, max drift) at every check time.  Raises
-    unless the small-forcing condition holds (which also requires darcy = 0).
+    ``tol``, or until ``maxT``, which must be a whole number of steps ``h``.
+    The checks come every ``check_every`` rounded to whole steps, and the
+    last chunk is cut at the budget, so ``t_final <= maxT``.  The contraction
+    log records (t, max pairwise distance, max drift) at every check time.
+    Raises unless the small-forcing condition holds (which also requires
+    darcy = 0).
     """
-    if n_probes < 2:
-        raise ValidationError(f"n_probes: need at least 2, got {n_probes}")
+    SolverSettings.check(h=h, T=maxT, tol=tol, n_probes=n_probes)
+    budget = step_count(maxT, h, "solver.T")
     condition = check_singleton_condition(params, grid, constants)
     if not condition.holds:
         raise ValidationError(
@@ -290,22 +292,22 @@ def find_singleton(
     rhs_u = _deterministic_rhs(grid, params, f_coeffs)
 
     chunk_steps = max(1, int(round(check_every / h)))
-    n_chunks = max(1, int(np.ceil(maxT / (chunk_steps * h))))
     log = []
     converged = False
     t = 0.0
-    for _ in range(n_chunks):
+    for start in range(0, budget, chunk_steps):
+        steps = min(chunk_steps, budget - start)
         drifts = []
         new_states = []
         for c in states:
             traj = drive(
-                grid, c, lambda x, n: rhs_u(x), params.mu, h, chunk_steps,
+                grid, c, lambda x, n: rhs_u(x), params.mu, h, steps,
                 cfl_safety=cfl_safety, blowup_guard=blowup_guard, f_coeffs=f_coeffs,
             )
             new_states.append(traj.final_state.coeffs)
             drifts.append(traj.last_drift)
         states = new_states
-        t += chunk_steps * h
+        t += steps * h
         dmax = max(
             h_norm_kernel(grid, states[i] - states[j])
             for i in range(n_probes)

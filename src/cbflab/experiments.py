@@ -15,19 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import check_singleton_condition
-from .deterministic import (
-    DEFAULT_BLOWUP_GUARD,
-    DEFAULT_CFL_SAFETY,
-    SingletonResult,
-    find_singleton,
-    probe_field,
-    simulate,
-)
+from .deterministic import SingletonResult, find_singleton, probe_field, simulate
 from .errors import NonConvergenceError, ValidationError
 from .fields import SpectralVelocity
 from .grid import TorusGrid
 from .operators import h_distance, h_norm_kernel
-from .params import EstimateConstants, PhysicsParams, step_count
+from .params import EstimateConstants, PhysicsParams, SolverSettings, step_count
 from .random_pde import ADDITIVE, MULTIPLICATIVE, NoiseConfig, PullbackSample, pullback_sample
 
 logger = logging.getLogger(__name__)
@@ -159,13 +152,13 @@ def rate_sweep(
     phi: SpectralVelocity | None = None,
     ou_alpha: float = 1.0,
     base_seed: int = 0,
-    pullback_tol: float = 1.0e-4,
-    singleton_tol: float = 1.0e-8,
-    singleton_maxT: float = 200.0,
-    n_probes: int = 3,
+    pullback_tol: float = SolverSettings.pullback_tol,
+    singleton_tol: float = SolverSettings.tol,
+    singleton_maxT: float = SolverSettings.T,
+    n_probes: int = SolverSettings.n_probes,
     constants: EstimateConstants | None = None,
-    cfl_safety: float = DEFAULT_CFL_SAFETY,
-    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
+    cfl_safety: float = SolverSettings.cfl_safety,
+    blowup_guard: float = SolverSettings.blowup_guard,
 ) -> SweepResult:
     """
     Measure dist_H(attractor sample, a_star) on a grid of noise intensities.
@@ -183,7 +176,9 @@ def rate_sweep(
         raise ValidationError("sweep: need at least 3 epsilon levels")
     if n_samples < 2:
         raise ValidationError("sweep: need at least 2 samples per level")
-    step_count(t_pull, h, "t_pull")  # before the singleton search, not after it
+    # the pullback settings before the singleton search, not after it
+    SolverSettings.check(h=h, t_pull=t_pull, pullback_tol=pullback_tol)
+    step_count(t_pull, h, "solver.t_pull")
 
     singleton = find_singleton(
         params, grid, tol=singleton_tol, maxT=singleton_maxT,
@@ -247,7 +242,7 @@ def contraction_experiment(
     grid: TorusGrid,
     n_pairs: int,
     T: float,
-    h: float = 0.01,
+    h: float = SolverSettings.h,
     *,
     base_seed: int = 7000,
     constants: EstimateConstants | None = None,

@@ -84,8 +84,6 @@ class WienerPath(_GridPath):
 
 def sample_wiener(seed: int, t_min: float, t_max: float, h_w: float) -> WienerPath:
     """Sample W on the grid {j h_w : t_min <= j h_w <= t_max}, W(0) = 0."""
-    if not (h_w > 0):
-        raise ValidationError(f"h_w: step must be positive, got {h_w}")
     if not (t_min < 0 <= t_max):
         raise ValidationError(
             f"degenerate interval: need t_min < 0 <= t_max, got [{t_min}, {t_max}]"

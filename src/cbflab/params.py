@@ -1,10 +1,12 @@
-"""Equation parameters, the user-supplied trilinear-estimate constants and
-the rule that turns a time span into a whole number of steps."""
+"""Equation parameters, the user-supplied trilinear-estimate constants, the
+solver settings with their defaults and rules, and the rule that turns a
+time span into a whole number of steps."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ValidationError
 from .fields import SpectralVelocity
@@ -14,13 +16,70 @@ PROVISIONAL_LABEL = "provisional placeholders"
 
 
 def step_count(t: float, h: float, what: str) -> int:
-    """The number of steps ``h`` in the time ``t``; raises unless ``t`` is a
-    whole multiple of ``h`` to 1e-9 relative.  Every solver horizon and every
-    noise-path index goes through here."""
+    """The number of steps ``h`` in the time ``t``; raises unless ``h`` is
+    positive and finite and ``t`` a whole multiple of it to 1e-9 relative.
+    Every solver horizon and every noise-path index goes through here."""
+    if not (0 < h < math.inf):
+        raise ValidationError(f"{what}: the step must be positive and finite, got {h}")
+    if not math.isfinite(t / h):
+        raise ValidationError(f"{what}: {t} is not a finite number of steps {h}")
     n = round(t / h)
     if abs(n * h - t) > 1e-9 * max(1.0, abs(t)):
         raise ValidationError(f"{what}: {t} is not a multiple of the step {h}")
     return int(n)
+
+
+#: The rule of each solver setting: where it lives in a config, what it
+#: needs and a comparison that NaN fails.
+_SOLVER_RULES = {
+    "h": ("solver.h", "must be positive", lambda x: x > 0),
+    "T": ("solver.T", "must be positive", lambda x: x > 0),
+    "t_pull": ("solver.t_pull", "must be positive", lambda x: x > 0),
+    "tol": ("solver.tol", "must be positive", lambda x: x > 0),
+    "pullback_tol": ("solver.pullback_tol", "must be positive", lambda x: x > 0),
+    "cfl_safety": ("solver.cfl_safety", "must lie in (0, 1]", lambda x: 0 < x <= 1),
+    "blowup_guard": ("solver.blowup_guard", "must be positive", lambda x: x > 0),
+    "n_probes": ("solver.n_probes", "must be >= 2", lambda x: x >= 2),
+    "snapshot_every": ("output.snapshot_every", "must be >= 0", lambda x: x >= 0),
+}
+
+
+@dataclass(frozen=True)
+class SolverSettings:
+    """The one default of every solver setting, named as in the config.
+
+    ``config.SolverSection`` extends this class, and every solver signature
+    takes its defaults from its attributes.  ``T`` is simulate's horizon and
+    the singleton search budget (``maxT``); ``snapshot_every`` is
+    ``output.snapshot_every``, the solvers' ``sample_every``.
+    """
+
+    h: float = 0.01
+    T: float = 10.0
+    t_pull: float = 40.0
+    tol: float = 1.0e-8
+    pullback_tol: float = 1.0e-4
+    cfl_safety: float = 0.4
+    blowup_guard: float = 1.0e6
+    n_probes: int = 3
+    snapshot_every: ClassVar[int] = 0
+
+    @staticmethod
+    def violations(**settings) -> list:
+        """Every violated rule among ``settings``, passed by setting name."""
+        return [
+            f"{where}: {need}, got {value}"
+            for key, value in settings.items()
+            for where, need, holds in [_SOLVER_RULES[key]]
+            if not holds(value)
+        ]
+
+    @staticmethod
+    def check(**settings) -> None:
+        """Raise ValidationError listing every violation of ``settings``."""
+        problems = SolverSettings.violations(**settings)
+        if problems:
+            raise ValidationError(problems)
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deterministic import (
-    DEFAULT_BLOWUP_GUARD,
-    DEFAULT_CFL_SAFETY,
-    Trajectory,
-    _deterministic_rhs,
-    drive,
-)
+from .deterministic import Trajectory, _deterministic_rhs, drive
 from .errors import GridMismatchError, ValidationError
 from .fields import SpectralVelocity, zero_velocity
 from .grid import TorusGrid
 from .operators import h_norm_kernel, nonlinear_kernel, stokes_kernel
 from .ou import OUPath, ou_path
-from .params import PhysicsParams, step_count
+from .params import PhysicsParams, SolverSettings, step_count
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -163,14 +157,16 @@ class RandomTrajectory:
 def solve_transformed(
     v0: SpectralVelocity, params: PhysicsParams, noise: NoiseConfig,
     ou: OUPath, interval, h: float, *,
-    sample_every: int = 0, cfl_safety: float = DEFAULT_CFL_SAFETY,
-    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
+    sample_every: int = SolverSettings.snapshot_every,
+    cfl_safety: float = SolverSettings.cfl_safety,
+    blowup_guard: float = SolverSettings.blowup_guard,
 ) -> RandomTrajectory:
     """Integrate the system transformed by ``noise.mode`` over ``interval``.
 
     Additive noise is 2D only, multiplicative noise runs in 2D and 3D, and
     mode ``none`` (epsilon = 0) runs the deterministic right-hand side.
     """
+    SolverSettings.check(h=h)  # drive checks the rest
     grid = v0.grid
     params.validate_for_dim(grid.dim)
     if params.darcy != 0.0:
@@ -251,9 +247,9 @@ def pullback_sample(
     grid: TorusGrid,
     v0: SpectralVelocity | None = None,
     validate: bool = False,
-    pullback_tol: float = 1.0e-6,
-    cfl_safety: float = DEFAULT_CFL_SAFETY,
-    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
+    pullback_tol: float = SolverSettings.pullback_tol,
+    cfl_safety: float = SolverSettings.cfl_safety,
+    blowup_guard: float = SolverSettings.blowup_guard,
 ) -> PullbackSample:
     """
     Integrate the transformed system from time -t_pull to 0 along the noise
@@ -265,9 +261,8 @@ def pullback_sample(
     n // 2 steps measures the stabilization gap, and the sample is flagged
     non-converged when the gap exceeds ``pullback_tol``.
     """
-    if t_pull <= 0:
-        raise ValidationError(f"t_pull: must be positive, got {t_pull}")
-    n = step_count(t_pull, h, "t_pull")
+    SolverSettings.check(h=h, t_pull=t_pull, pullback_tol=pullback_tol)
+    n = step_count(t_pull, h, "solver.t_pull")
     mode = noise.mode if noise.mode != NONE else MULTIPLICATIVE
     if v0 is None:
         v0 = zero_velocity(grid)

@@ -251,7 +251,7 @@ def test_criterion_08_multiplicative_rate(setup_2d_critical):
     result = rate_sweep(
         params, grid, "multiplicative", EPS_GRID, n_samples=4,
         t_pull=40.0, h=0.01, ou_alpha=2.5, base_seed=300,
-        pullback_tol=1e-6, constants=cons,
+        pullback_tol=1e-6, singleton_maxT=200.0, constants=cons,
     )
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0
@@ -279,7 +279,7 @@ def test_criterion_09_additive_rates():
         result = rate_sweep(
             params, grid, "additive", EPS_GRID, n_samples=4,
             t_pull=40.0, h=0.01, phi=phi, ou_alpha=2.5, base_seed=500,
-            pullback_tol=1e-6, constants=cons,
+            pullback_tol=1e-6, singleton_maxT=200.0, constants=cons,
         )
         slopes[r] = result.fit.slope
         assert result.fit.slope >= floor

@@ -63,6 +63,15 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "3D grid" in err  # the 2-component forcing mode is also reported
 
 
+def test_format_json_is_not_a_choice(tmp_path, capsys):
+    # json output is the csv output; only csv and svg are formats
+    cfg = write(tmp_path, "c.cfg", BASE)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--format", "json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'json'" in capsys.readouterr().err
+
+
 def test_simulate_writes_trajectory(tmp_path):
     cfg = write(tmp_path, "s.cfg", BASE + "\n[solver]\nh = 0.01\nT = 0.5\ninitial = random seed=1 hnorm=0.5 kmax=4\n")
     out = tmp_path / "sim"

@@ -11,7 +11,13 @@ from cbflab import (
     PhysicsParams,
     TorusGrid,
     ValidationError,
+    find_singleton,
+    ou_path,
+    pullback_sample,
     random_field,
+    simulate,
+    solve_transformed,
+    zero_velocity,
 )
 from cbflab.config import (
     ModesSpec,
@@ -21,6 +27,7 @@ from cbflab.config import (
     parse_config,
     serialize_config,
 )
+from cbflab.deterministic import drive
 MINIMAL = """
 [grid]
 dim = 2
@@ -203,6 +210,13 @@ def test_parse_config_builds_no_lattice():
     assert peak < 10 * 2**20  # one 4096^3 lattice array alone would be 512 GiB
 
 
+_G = TorusGrid(dim=2, N=16)
+_U0 = zero_velocity(_G)
+_P = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
+_NONE = NoiseConfig(mode="none")
+_OU = ou_path(1, 1.0, t_min=-0.02, t_max=0.0, h_w=0.01)
+
+
 @pytest.mark.parametrize(
     "lines, build",
     [
@@ -216,8 +230,25 @@ def test_parse_config_builds_no_lattice():
         ("[noise]\nphi = random seed=1 hnorm=1.0 kmax=4",
          lambda: NoiseConfig(mode="none", phi=random_field(TorusGrid(dim=2, N=16), 1, kmax=4.0))),
         ("[constants]\nc2 = 0", lambda: EstimateConstants(c2=0.0)),
+        ("[solver]\nh = nan", lambda: simulate(_U0, _P, 1.0, math.nan)),
+        ("[solver]\nT = nan", lambda: find_singleton(_P, _G, maxT=math.nan)),
+        ("[solver]\ncfl_safety = nan", lambda: simulate(_U0, _P, 0.02, 0.01, cfl_safety=math.nan)),
+        ("[solver]\ncfl_safety = 1.5",
+         lambda: solve_transformed(_U0, _P, _NONE, _OU, (-0.02, 0.0), 0.01, cfl_safety=1.5)),
+        ("[solver]\nblowup_guard = -1",
+         lambda: drive(_G, _U0.coeffs, lambda c, n: (0 * c, 0.0), 1.0, 0.01, 2, blowup_guard=-1.0)),
+        ("[solver]\ntol = 0", lambda: find_singleton(_P, _G, tol=0.0, maxT=0.1)),
+        ("[solver]\npullback_tol = -1",
+         lambda: pullback_sample(_P, _NONE, 0.02, 0.01, grid=_G, validate=True, pullback_tol=-1.0)),
+        ("[solver]\nn_probes = 1", lambda: find_singleton(_P, _G, maxT=0.1, n_probes=1)),
+        ("[solver]\nt_pull = nan", lambda: pullback_sample(_P, _NONE, math.nan, 0.01, grid=_G)),
+        ("[output]\nsnapshot_every = -1", lambda: simulate(_U0, _P, 0.02, 0.01, sample_every=-1)),
     ],
-    ids=["grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2"],
+    ids=[
+        "grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2",
+        "h-nan", "T-nan", "cfl-nan", "cfl-above-1", "guard-negative", "tol-zero",
+        "pullback-tol-negative", "n-probes-1", "t-pull-nan", "snapshot-negative",
+    ],
 )
 def test_config_reports_the_domain_types_violations(lines, build):
     with pytest.raises(ValidationError) as from_type:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cbflab import deterministic
 from cbflab import (
     BlowUpError,
     CFLViolationError,
@@ -172,6 +173,26 @@ def test_find_singleton_nonconvergence_path(grid2d_small):
     res = find_singleton(p, grid2d_small, tol=1e-13, maxT=0.2, n_probes=2, h=0.02)
     assert not res.converged
     assert len(res.contraction_log) >= 1
+
+
+def test_find_singleton_budget_is_whole_steps(grid2d_small, monkeypatch):
+    # check_every is a cadence of whole steps; maxT is a budget the last chunk is cut at
+    chunks = []
+    real_drive = deterministic.drive
+
+    def counting_drive(*args, **kwargs):
+        chunks.append(args[5])
+        return real_drive(*args, **kwargs)
+
+    monkeypatch.setattr(deterministic, "drive", counting_drive)
+    p = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
+    res = find_singleton(p, grid2d_small, maxT=2.5, n_probes=2, h=0.02, check_every=1.0)
+    assert not res.converged
+    assert res.t_final == 2.5
+    assert [t for t, _, _ in res.contraction_log] == [1.0, 2.0, 2.5]
+    assert chunks == [50, 50, 50, 50, 25, 25]  # two probes per chunk
+    with pytest.raises(ValidationError, match="solver.T: 2.0 is not a multiple"):
+        find_singleton(p, grid2d_small, maxT=2.0, n_probes=2, h=0.03)
 
 
 def test_find_singleton_linear_steady_state(grid2d_small):

@@ -11,9 +11,10 @@ from dataclasses import fields as dc_fields
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cbflab import CBFError, read_field
+from cbflab import CBFError, ValidationError, read_field
 from cbflab.cli import main
 from cbflab.config import _SECTIONS, parse_config
+from cbflab.params import step_count
 
 VALID = """
 [grid]
@@ -156,3 +157,19 @@ def test_check_conditions_exit_codes(text):
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(), st.floats())
+def test_step_count_raises_only_validation_errors(t, h):
+    try:
+        n = step_count(t, h, "span")
+    except ValidationError:
+        return
+    assert 0 < h < math.inf and math.isfinite(t)  # negative spans stay legal
+    assert isinstance(n, int) and abs(n * h - t) <= 1e-9 * max(1.0, abs(t))
+
+
+def test_step_count_keeps_negative_spans():
+    # sample_wiener counts its t_min steps with a negative span
+    assert step_count(-0.5, 0.1, "t_min") == -5
