@@ -425,6 +425,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy cannot allocate the step records of a horizon like T = 1e15
+        print(f"error: out of memory ({exc}); the run is too large", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

@@ -7,13 +7,16 @@ there is no stiff diffusive step restriction.  An advective CFL guard aborts
 instead of sub-stepping, which keeps trajectories bit-reproducible for a
 given (initial data, h).
 
-The integrator state lives in the rfft half layout (see `grid`); states
-enter and leave `drive` in the full layout.
+`drive`, the one integrator, builds the deterministic or noise-transformed
+(see `random_pde`) tendency from the parameters and the noise.  Its state
+lives in the rfft half layout (see `grid`); states enter and leave `drive`
+in the full layout.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +25,10 @@ from .conditions import ConditionReport, check_singleton_condition
 from .errors import BlowUpError, CFLViolationError, ValidationError
 from .fields import SpectralVelocity, random_field
 from .grid import TorusGrid
-from .operators import h_norm_kernel, lr_norm_kernel, nonlinear_kernel
-from .params import EstimateConstants, PhysicsParams, SolverSettings, step_count
+from .operators import h_norm_kernel, lr_norm_kernel, nonlinear_kernel, stokes_kernel
+from .params import (
+    ADDITIVE, MULTIPLICATIVE, EstimateConstants, PhysicsParams, SolverSettings, step_count,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +44,6 @@ class Trajectory:
     v_norm: np.ndarray
     f_dot_u: np.ndarray
     lr_norm: np.ndarray | None
-    r: float
     sample_times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     last_drift: float = 0.0
@@ -56,54 +60,84 @@ class Trajectory:
             yield (self.t[i], self.h_norm[i], self.v_norm[i], lr[i], res[i])
 
 
-def _deterministic_rhs(grid, params, f_coeffs):
-    """Half-layout right-hand side f - B(u) - beta C(u) - darcy u, with a CFL diagnostic.
-
-    Terms that are identically zero are skipped rather than added, so reduced
-    settings (beta = 0, f = 0, darcy = 0) execute exactly the arithmetic of
-    the reduced equation.
-    """
-    beta, r, darcy = params.beta, params.r, params.darcy
-    f_half = None if f_coeffs is None else grid.to_half(f_coeffs)
-
-    def rhs(u):
-        nl, vmax = nonlinear_kernel(grid, u, 1.0, beta, r)
-        out = -nl if f_half is None else f_half - nl
-        if darcy != 0.0:
-            out -= darcy * u
-        return out, vmax
-
-    return rhs
-
-
 def integrating_factor(grid: TorusGrid, mu: float, h: float) -> np.ndarray:
     """exp(-mu A h) on the half layout."""
     return np.exp(-(mu * grid.lambda1 * h) * grid.half_k2)
 
 
+def _tendency(grid, params, noise, ou, t0):
+    """Half-layout right-hand side of the system ``noise`` transforms, and its CFL velocity.
+
+    With the OU value z frozen at each step's left endpoint, m = eps for
+    multiplicative noise and s = eps z for additive noise (each 0 otherwise),
+    the tendency is  -P(e^{m z} B(w) + beta e^{m (r-1) z} |w|^(r-1) w)
+    + m alpha z u + e^{-m z} f - darcy u + s (alpha Phi - mu A Phi),  w = u + s Phi.
+    A term whose coefficient is 0 is skipped and a scale of exactly 1.0 is
+    not multiplied, so ``noise=None`` and eps = 0 execute exactly the
+    arithmetic of the deterministic equation.
+    """
+    beta, r, darcy = params.beta, params.r, params.darcy
+    eps = 0.0 if noise is None else noise.epsilon
+    mult = eps if noise is not None and noise.mode == MULTIPLICATIVE else 0.0
+    add = eps if noise is not None and noise.mode == ADDITIVE else 0.0
+    alpha = 0.0 if noise is None else noise.ou_alpha
+    j0 = None if eps == 0.0 else ou.index(t0)
+    f_half = None if params.forcing is None else grid.to_half(params.forcing.coeffs)
+    if add != 0.0:
+        phi = grid.to_half(noise.phi.coeffs)
+        # eps z times this is the noise's own drive, eps z (alpha Phi - mu A Phi)
+        a_phi = grid.to_half(stokes_kernel(grid, noise.phi.coeffs))
+        phi_drive = alpha * phi - params.mu * a_phi
+
+    def rhs(u, n):
+        z = 0.0 if j0 is None else ou.value_at_index(j0 + n)
+        shift = add * z
+        adv = math.exp(mult * z)
+        w = u + shift * phi if shift != 0.0 else u
+        nl, vmax = nonlinear_kernel(grid, w, adv, beta * math.exp(mult * (r - 1.0) * z), r)
+        out = -nl
+        lin = mult * alpha * z
+        if lin != 0.0:
+            out += lin * u
+        if f_half is not None:
+            f_scale = math.exp(-mult * z)
+            out += f_half if f_scale == 1.0 else f_scale * f_half
+        if darcy != 0.0:
+            out -= darcy * u
+        if shift != 0.0:
+            out += shift * phi_drive
+        # advective CFL sees the reconstructed velocity, e^{eps z} v when multiplicative
+        return out, adv * vmax
+
+    return rhs
+
+
 def drive(
     grid: TorusGrid,
     u0_coeffs: np.ndarray,
-    rhs,
-    mu: float,
+    params: PhysicsParams,
+    noise,
     h: float,
     n_steps: int,
     *,
+    ou=None,
+    t0: float = 0.0,
     sample_every: int = SolverSettings.snapshot_every,
-    record_lr: float | None = None,
+    record_lr: bool = False,
     cfl_safety: float = SolverSettings.cfl_safety,
     blowup_guard: float = SolverSettings.blowup_guard,
-    t0: float = 0.0,
-    f_coeffs: np.ndarray | None = None,
 ):
     """Integrating-factor Heun loop shared by every solver in the package.
 
-    ``u0_coeffs`` and ``f_coeffs`` are full-layout; the loop runs on their
-    half-layout copies, and ``rhs(u_half, step_index)`` returns the
-    half-layout (tendency, vmax).  The tendency is evaluated at the step's
-    left endpoint for both stages, so any time dependence is treated as
-    frozen within a step.  Returns a Trajectory whose states (full layout,
-    mirror rebuilt once per snapshot) hold the initial state, every
+    Integrates the deterministic system (``noise=None``) or the one that
+    the ``random_pde.NoiseConfig`` ``noise`` transforms, with the physics
+    ``params``; a noise with epsilon != 0 reads its OU values from the path
+    ``ou``, starting at index ``ou.index(t0)``.  ``u0_coeffs`` is full-layout
+    and the loop runs on its half-layout copy.  The tendency is evaluated at
+    the step's left endpoint for both stages, so any time dependence is
+    treated as frozen within a step.  ``record_lr`` records the L^{r+1} norm
+    at ``params.r``.  Returns a Trajectory whose states (full layout, mirror
+    rebuilt once per snapshot) hold the initial state, every
     ``sample_every``-th step and the final state.
     """
     SolverSettings.check(
@@ -111,24 +145,22 @@ def drive(
     )
     if n_steps < 1:
         raise ValidationError(f"horizon: need at least one step of h = {h}, got {n_steps}")
-    ex = integrating_factor(grid, mu, h)
+    rhs = _tendency(grid, params, noise, ou, t0)
+    ex = integrating_factor(grid, params.mu, h)
     u = grid.to_half(u0_coeffs)
     n_rec = n_steps + 1
     t_arr = t0 + h * np.arange(n_rec)
     hn = np.empty(n_rec)
     vn = np.empty(n_rec)
     fu = np.empty(n_rec)
-    lr = np.empty(n_rec) if record_lr is not None else None
+    lr = np.empty(n_rec) if record_lr else None
 
-    traj = Trajectory(
-        grid=grid, h=h, t=t_arr, h_norm=hn, v_norm=vn, f_dot_u=fu,
-        lr_norm=lr, r=record_lr if record_lr is not None else 0.0,
-    )
+    traj = Trajectory(grid=grid, h=h, t=t_arr, h_norm=hn, v_norm=vn, f_dot_u=fu, lr_norm=lr)
 
     # Parseval weights of the half layout for |u|_H^2, |u|_V^2 and (f, u)
     h_weight = grid.volume() * grid.half_weight
     v_weight = (grid.lambda1 * grid.half_k2) * h_weight
-    f_weight = None if f_coeffs is None else h_weight * grid.to_half(f_coeffs)
+    f_weight = None if params.forcing is None else h_weight * grid.to_half(params.forcing.coeffs)
 
     def power(c):
         return np.sum(c.real**2 + c.imag**2, axis=0)
@@ -139,7 +171,7 @@ def drive(
         vn[i] = np.sqrt(np.vdot(v_weight, p))
         fu[i] = 0.0 if f_weight is None else np.vdot(f_weight, c).real
         if lr is not None:
-            lr[i] = lr_norm_kernel(grid, c, record_lr)
+            lr[i] = lr_norm_kernel(grid, c, params.r)
 
     def snapshot(i, c):
         traj.sample_times.append(float(t_arr[i]))
@@ -194,20 +226,17 @@ def simulate(
     if params.forcing is not None:
         u0.same_grid(params.forcing)
     n_steps = step_count(T, h, "solver.T")
-    f_coeffs = None if params.forcing is None else params.forcing.coeffs
-    rhs_u = _deterministic_rhs(grid, params, f_coeffs)
     return drive(
         grid,
         u0.coeffs,
-        lambda c, n: rhs_u(c),
-        params.mu,
+        params,
+        None,
         h,
         n_steps,
         sample_every=sample_every,
-        record_lr=params.r if record_lr else None,
+        record_lr=record_lr,
         cfl_safety=cfl_safety,
         blowup_guard=blowup_guard,
-        f_coeffs=f_coeffs,
     )
 
 
@@ -278,6 +307,8 @@ def find_singleton(
     """
     SolverSettings.check(h=h, T=maxT, tol=tol, n_probes=n_probes)
     budget = step_count(maxT, h, "solver.T")
+    if not (check_every > 0 and math.isfinite(check_every / h)):
+        raise ValidationError(f"check_every: must be positive and finite, got {check_every}")
     condition = check_singleton_condition(params, grid, constants)
     if not condition.holds:
         raise ValidationError(
@@ -288,8 +319,6 @@ def find_singleton(
     seeds = [base_seed + i for i in range(n_probes)]
     logger.info("singleton probes with seeds %s", seeds)
     states = [probe_field(grid, s).coeffs for s in seeds]
-    f_coeffs = None if params.forcing is None else params.forcing.coeffs
-    rhs_u = _deterministic_rhs(grid, params, f_coeffs)
 
     chunk_steps = max(1, int(round(check_every / h)))
     log = []
@@ -301,8 +330,8 @@ def find_singleton(
         new_states = []
         for c in states:
             traj = drive(
-                grid, c, lambda x, n: rhs_u(x), params.mu, h, steps,
-                cfl_safety=cfl_safety, blowup_guard=blowup_guard, f_coeffs=f_coeffs,
+                grid, c, params, None, h, steps,
+                cfl_safety=cfl_safety, blowup_guard=blowup_guard,
             )
             new_states.append(traj.final_state.coeffs)
             drifts.append(traj.last_drift)

@@ -83,15 +83,6 @@ def hermitianize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(grid.negate_modes(coeffs)))
 
 
-def _project_raw(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    # local import keeps fields/operators from importing each other at top level
-    from .operators import leray_kernel
-
-    work = np.array(coeffs, dtype=complex)
-    work[:, ~grid.mask] = 0.0
-    return leray_kernel(grid, work)
-
-
 def single_mode_field(
     grid: TorusGrid,
     mode,
@@ -121,7 +112,10 @@ def single_mode_field(
     neg = tuple((-m) % grid.N for m in mode)
     coeffs[(slice(None),) + idx] = amp
     coeffs[(slice(None),) + neg] = np.conj(amp)
-    u = SpectralVelocity(grid, _project_raw(grid, coeffs))
+    # local import keeps fields/operators from importing each other at top level
+    from .operators import leray_project
+
+    u = leray_project(grid, coeffs)
     if h_norm is not None:
         u = rescale_to_h(u, h_norm)
     return u
@@ -149,8 +143,9 @@ def random_field(
     envelope = np.where(band, np.power(np.maximum(kmag, 1.0), spectral_slope), 0.0)
     raw *= envelope
     raw = hermitianize(grid, raw)
-    u = SpectralVelocity(grid, _project_raw(grid, raw))
-    return rescale_to_h(u, h_norm)
+    from .operators import leray_project
+
+    return rescale_to_h(leray_project(grid, raw), h_norm)
 
 
 def rescale_to_h(u: SpectralVelocity, target: float) -> SpectralVelocity:

@@ -1,6 +1,6 @@
-"""Equation parameters, the user-supplied trilinear-estimate constants, the
-solver settings with their defaults and rules, and the rule that turns a
-time span into a whole number of steps."""
+"""Equation parameters, the noise-mode names, the user-supplied
+trilinear-estimate constants, the solver settings with their defaults and
+rules, and the rule that turns a time span into a whole number of steps."""
 
 from __future__ import annotations
 
@@ -13,6 +13,11 @@ from .fields import SpectralVelocity
 
 #: Marker attached to every condition report built from default constants.
 PROVISIONAL_LABEL = "provisional placeholders"
+
+#: Noise modes: which transform turns the stochastic system into a random PDE.
+ADDITIVE = "additive"
+MULTIPLICATIVE = "multiplicative"
+NONE = "none"
 
 
 def step_count(t: float, h: float, what: str) -> int:

@@ -5,9 +5,9 @@ and multiplicative transforms of the driving OU process turn the stochastic
 equations into random PDEs with pathwise coefficients, and those are what is
 integrated.  Within a step the OU value is frozen at the left endpoint.
 
-With epsilon = 0 both transformed right-hand sides fall back to the exact
-deterministic arithmetic, so the reduction to the unperturbed solver is
-bit-for-bit, not merely close.
+`deterministic.drive` builds the transformed right-hand side from the
+noise; with epsilon = 0 every noise term is zero and skipped, so the
+reduction to the unperturbed solver is bit-for-bit, not merely close.
 """
 
 from __future__ import annotations
@@ -17,17 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deterministic import Trajectory, _deterministic_rhs, drive
+from .deterministic import Trajectory, drive
 from .errors import GridMismatchError, ValidationError
 from .fields import SpectralVelocity, zero_velocity
 from .grid import TorusGrid
-from .operators import h_norm_kernel, nonlinear_kernel, stokes_kernel
+from .operators import h_norm_kernel
 from .ou import OUPath, ou_path
-from .params import PhysicsParams, SolverSettings, step_count
-
-ADDITIVE = "additive"
-MULTIPLICATIVE = "multiplicative"
-NONE = "none"
+from .params import ADDITIVE, MULTIPLICATIVE, NONE, PhysicsParams, SolverSettings, step_count
 
 #: |k| band limit for the additive noise profile, as a fraction of N.
 PHI_BAND_FRACTION = 0.25
@@ -91,58 +87,6 @@ class NoiseConfig:
             raise ValidationError(problems)
 
 
-def _additive_rhs(grid, params, noise, ou: OUPath, j0: int):
-    """Half-layout tendency of v' + mu A v + B(v + eps z Phi) + beta C(v + eps z Phi)
-    = f + eps alpha z Phi - eps mu z A Phi, with z frozen per step."""
-    eps = noise.epsilon
-    f_coeffs = None if params.forcing is None else params.forcing.coeffs
-    det = _deterministic_rhs(grid, params, f_coeffs)
-    if eps == 0.0:
-        return lambda coeffs, n: det(coeffs)
-
-    phi = grid.to_half(noise.phi.coeffs)
-    # eps z times this is the noise's own drive, eps z (alpha Phi - mu A Phi)
-    a_phi = grid.to_half(stokes_kernel(grid, noise.phi.coeffs))
-    phi_drive = noise.ou_alpha * phi - params.mu * a_phi
-    f_half = None if f_coeffs is None else grid.to_half(f_coeffs)
-    beta, r = params.beta, params.r
-
-    def rhs(v, n):
-        eps_z = eps * ou.value_at_index(j0 + n)
-        nl, vmax = nonlinear_kernel(grid, v + eps_z * phi, 1.0, beta, r)
-        out = -nl if f_half is None else f_half - nl
-        out += eps_z * phi_drive
-        return out, vmax
-
-    return rhs
-
-
-def _multiplicative_rhs(grid, params, noise, ou: OUPath, j0: int):
-    """Half-layout tendency of v' + mu A v + e^{eps z} B(v) + beta e^{eps (r-1) z} C(v)
-    = f e^{-eps z} + eps alpha z v, with z frozen per step."""
-    eps = noise.epsilon
-    f_coeffs = None if params.forcing is None else params.forcing.coeffs
-    det = _deterministic_rhs(grid, params, f_coeffs)
-    if eps == 0.0:
-        return lambda coeffs, n: det(coeffs)
-
-    f_half = None if f_coeffs is None else grid.to_half(f_coeffs)
-    alpha = noise.ou_alpha
-    beta, r = params.beta, params.r
-
-    def rhs(v, n):
-        z = ou.value_at_index(j0 + n)
-        ez = math.exp(eps * z)
-        nl, vmax = nonlinear_kernel(grid, v, ez, beta * math.exp(eps * (r - 1.0) * z), r)
-        out = (eps * alpha * z) * v - nl
-        if f_half is not None:
-            out += math.exp(-eps * z) * f_half
-        # advective CFL sees the reconstructed velocity u = e^{eps z} v
-        return out, ez * vmax
-
-    return rhs
-
-
 @dataclass
 class RandomTrajectory:
     """Transformed-variable trajectory plus reconstructed velocities."""
@@ -182,18 +126,11 @@ def solve_transformed(
     if noise.epsilon != 0.0:
         if abs(ou.alpha - noise.ou_alpha) > 0:
             raise ValidationError("ou path alpha differs from noise.ou_alpha")
-        j0 = ou.index(t0)
-        ou.index(t1)  # domain check
-    else:
-        j0 = 0
+        ou.index(t1)  # domain check; drive reads from ou.index(t0)
 
-    make_rhs = _additive_rhs if noise.mode == ADDITIVE else _multiplicative_rhs
-    rhs = make_rhs(grid, params, noise, ou, j0)
-    f_coeffs = None if params.forcing is None else params.forcing.coeffs
     traj = drive(
-        grid, v0.coeffs, rhs, params.mu, h, n_steps,
-        sample_every=sample_every, cfl_safety=cfl_safety,
-        blowup_guard=blowup_guard, t0=t0, f_coeffs=f_coeffs,
+        grid, v0.coeffs, params, noise, h, n_steps, ou=ou, t0=t0,
+        sample_every=sample_every, cfl_safety=cfl_safety, blowup_guard=blowup_guard,
     )
 
     eps = noise.epsilon

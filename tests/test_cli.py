@@ -207,6 +207,15 @@ def test_sweep_honours_cfl_safety(tmp_path, capsys):
     assert "CFL" in capsys.readouterr().err
 
 
+def test_simulate_too_long_horizon_exits_2(tmp_path, capsys):
+    # 10^17 steps: numpy refuses the step records at once, before any step
+    cfg = write(tmp_path, "long.cfg", BASE + "\n[solver]\nh = 0.01\nT = 1e15\n")
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
 def test_negative_blowup_guard_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "b.cfg", BASE + "\n[solver]\nh = 0.01\nT = 0.1\nblowup_guard = -1\n")
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])

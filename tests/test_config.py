@@ -236,7 +236,7 @@ _OU = ou_path(1, 1.0, t_min=-0.02, t_max=0.0, h_w=0.01)
         ("[solver]\ncfl_safety = 1.5",
          lambda: solve_transformed(_U0, _P, _NONE, _OU, (-0.02, 0.0), 0.01, cfl_safety=1.5)),
         ("[solver]\nblowup_guard = -1",
-         lambda: drive(_G, _U0.coeffs, lambda c, n: (0 * c, 0.0), 1.0, 0.01, 2, blowup_guard=-1.0)),
+         lambda: drive(_G, _U0.coeffs, _P, None, 0.01, 2, blowup_guard=-1.0)),
         ("[solver]\ntol = 0", lambda: find_singleton(_P, _G, tol=0.0, maxT=0.1)),
         ("[solver]\npullback_tol = -1",
          lambda: pullback_sample(_P, _NONE, 0.02, 0.01, grid=_G, validate=True, pullback_tol=-1.0)),

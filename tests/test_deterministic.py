@@ -195,6 +195,13 @@ def test_find_singleton_budget_is_whole_steps(grid2d_small, monkeypatch):
         find_singleton(p, grid2d_small, maxT=2.0, n_probes=2, h=0.03)
 
 
+@pytest.mark.parametrize("check_every", [math.nan, math.inf, 1e308, 0.0, -1.0])
+def test_find_singleton_rejects_bad_check_every(grid2d_small, check_every):
+    p = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
+    with pytest.raises(ValidationError, match="check_every: must be positive"):
+        find_singleton(p, grid2d_small, maxT=0.1, n_probes=2, h=0.01, check_every=check_every)
+
+
 def test_find_singleton_linear_steady_state(grid2d_small):
     # beta = 0, tiny forcing: the limit is close to the linear steady state
     f = single_mode_field(grid2d_small, (0, 1), (1.0, 0.0), h_norm=0.02)
