@@ -3,13 +3,13 @@
 
 Usage: python scripts/artifact_digest.py OUT
 
-Runs 14 `cbflab` subcommands in-process, each into its own directory under
+Runs 16 `cbflab` subcommands in-process, each into its own directory under
 OUT, with the configs below: sweeps (multiplicative, a manifest-style
 multiplicative config with two seed offsets, additive at r = 1) and a
 `report --format svg` of the first; pullbacks (multiplicative with two seed
 offsets, additive, `none`, 3D multiplicative); singleton searches (one that
 converges and two that stop at their budget); `simulate` in 2D and 3D with
-snapshots.  Prints one `sha256  run/file` line per file, `manifest.json`
+snapshots; `check-conditions`; `ou-diagnostics`.  Prints one `sha256  run/file` line per file, `manifest.json`
 included, sorted.  Two checkouts that compute the same numbers print the
 same lines, so `diff` of two outputs checks a refactor end to end.
 """
@@ -144,6 +144,9 @@ RUNS = (
     ("singleton-budget-h003", "singleton", SINGLETON.format(h=0.03, T=2.97), []),
     ("simulate-2d", "simulate", SIMULATE.format(base=BASE, kmax=4), []),
     ("simulate-3d", "simulate", SIMULATE.format(base=BASE_3D, kmax=2), []),
+    ("check-conditions", "check-conditions", BASE, []),
+    ("ou-diagnostics", "ou-diagnostics",
+     PULLBACK.format(mode="multiplicative", eps=0.1, phi=""), ["--seed-offset", "2"]),
 )
 
 

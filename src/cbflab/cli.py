@@ -88,7 +88,8 @@ def _initial_state(cfg, grid):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations (each returns a list of artifact paths)
+# subcommand implementations (each returns its artifact paths, its exit code
+# and the noise seeds it drew)
 # ---------------------------------------------------------------------------
 
 def _cmd_check_conditions(cfg, out_dir, args):
@@ -108,7 +109,7 @@ def _cmd_check_conditions(cfg, out_dir, args):
             "label": constants.label,
         },
     })
-    return [path], EXIT_OK
+    return [path], EXIT_OK, []
 
 
 def _cmd_simulate(cfg, out_dir, args):
@@ -133,7 +134,7 @@ def _cmd_simulate(cfg, out_dir, args):
             fp = os.path.join(out_dir, f"field_t{ts:.6f}.cbff")
             write_field(fp, state)
             artifacts.append(fp)
-    return artifacts, EXIT_OK
+    return artifacts, EXIT_OK, []
 
 
 def _cmd_singleton(cfg, out_dir, args):
@@ -159,8 +160,8 @@ def _cmd_singleton(cfg, out_dir, args):
     artifacts.append(summary_path)
     if not result.converged:
         print("singleton search did not converge; see contraction_log.csv")
-        return artifacts, EXIT_NONCONVERGENCE
-    return artifacts, EXIT_OK
+        return artifacts, EXIT_NONCONVERGENCE, []
+    return artifacts, EXIT_OK, []
 
 
 def _cmd_pullback(cfg, out_dir, args):
@@ -194,8 +195,8 @@ def _cmd_pullback(cfg, out_dir, args):
     artifacts = [field_path, meta_path]
     if not sample.converged:
         print(f"pullback horizon not stabilized (gap {sample.doubling_gap!r})")
-        return artifacts, EXIT_NONCONVERGENCE
-    return artifacts, EXIT_OK
+        return artifacts, EXIT_NONCONVERGENCE, [noise.seed]
+    return artifacts, EXIT_OK, [noise.seed]
 
 
 def _cmd_sweep(cfg, out_dir, args):
@@ -204,11 +205,12 @@ def _cmd_sweep(cfg, out_dir, args):
     if not eps_grid:
         raise ValidationError("noise.eps_grid: sweep requires an epsilon grid")
     phi = build_field(cfg.noise.phi, grid)
+    seeds = [cfg.noise.seed + args.seed_offset + i for i in range(cfg.noise.n_samples)]
     result = rate_sweep(
         params, grid, cfg.noise.mode, eps_grid, cfg.noise.n_samples,
         cfg.solver.t_pull, cfg.solver.h,
         phi=phi, ou_alpha=cfg.noise.ou_alpha,
-        base_seed=cfg.noise.seed + args.seed_offset,
+        base_seed=seeds[0],
         pullback_tol=cfg.solver.pullback_tol, singleton_tol=cfg.solver.tol,
         singleton_maxT=cfg.solver.T, n_probes=cfg.solver.n_probes,
         constants=constants,
@@ -247,16 +249,15 @@ def _cmd_sweep(cfg, out_dir, args):
         f"fitted slope {result.fit.slope!r} "
         f"(theory {result.fit.delta_theory!r}) over {len(result.records)} records"
     )
-    return artifacts, EXIT_OK
+    return artifacts, EXIT_OK, seeds
 
 
 def _cmd_ou_diagnostics(cfg, out_dir, args):
     alpha = cfg.noise.ou_alpha
-    n = max(cfg.noise.n_samples, 1000)
-    draws = np.empty(n)
-    for i in range(n):
-        path = ou_path(cfg.noise.seed + i, alpha, t_min=-0.5, t_max=2.0, h_w=0.1)
-        draws[i] = path.value(2.0)
+    seeds = range(cfg.noise.seed, cfg.noise.seed + max(cfg.noise.n_samples, 1000))
+    draws = np.array(
+        [ou_path(s, alpha, t_min=-0.5, t_max=2.0, h_w=0.1).value(2.0) for s in seeds]
+    )
     abs_z = np.abs(draws)
     wiener = sample_wiener(cfg.noise.seed, t_min=-1000.0, t_max=0.0, h_w=0.05)
     long_path = ou_from_wiener(wiener, alpha)
@@ -271,7 +272,7 @@ def _cmd_ou_diagnostics(cfg, out_dir, args):
     avg = float(np.trapezoid(zvals, dx=0.05) / t_span)
     payload = {
         "alpha": alpha,
-        "n_samples": n,
+        "n_samples": len(seeds),
         "mean_abs_z": float(np.mean(abs_z)),
         "mean_abs_z_theory": stationary_moment(alpha, 1.0),
         "mean_z_sq": float(np.mean(abs_z**2)),
@@ -288,7 +289,7 @@ def _cmd_ou_diagnostics(cfg, out_dir, args):
         f"E|z| = {payload['mean_abs_z']!r} (theory {payload['mean_abs_z_theory']!r}), "
         f"E z^2 = {payload['mean_z_sq']!r} (theory {payload['mean_z_sq_theory']!r})"
     )
-    return [path, dump_path], EXIT_OK
+    return [path, dump_path], EXIT_OK, list(seeds)
 
 
 def _is_number(value) -> bool:
@@ -384,11 +385,10 @@ def run(subcommand: str, config_path: str, out_dir: str, args) -> int:
         return _cmd_report(config_path, out_dir, args)[1]
 
     cfg = parse_config(_load_config_text(config_path))
-    artifacts, code = _COMMANDS[subcommand](cfg, out_dir, args)
+    artifacts, code, seeds = _COMMANDS[subcommand](cfg, out_dir, args)
     constants = EstimateConstants(
         c1=cfg.constants.c1, c2=cfg.constants.c2, c3=cfg.constants.c3
     )
-    seeds = [cfg.noise.seed + args.seed_offset + i for i in range(cfg.noise.n_samples)]
     write_manifest(
         out_dir, subcommand, serialize_config(cfg), constants, seeds, artifacts
     )

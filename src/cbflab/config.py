@@ -214,8 +214,9 @@ _SECTIONS = {f.name: f.default_factory for f in dc_fields(RunConfig)}
 
 _FIELD_SPEC_KEYS = {"forcing", "phi", "initial"}
 
-#: Every run manifest lists its n_samples noise seeds (about 12 MB at this
-#: bound); 10^8 of them would take gigabytes before any work started.
+#: The manifests of `sweep` and `ou-diagnostics` list the n_samples noise
+#: seeds they draw (about 12 MB at this bound); 10^8 of them would take
+#: gigabytes.
 MAX_SAMPLES = 1_000_000
 
 

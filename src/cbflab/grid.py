@@ -9,23 +9,23 @@ the half layout; ``to_half`` and ``to_full`` convert at the API boundary, and
 the mirror is rebuilt only there.  Padding and truncation move the 2^(dim-1)
 frequency corner blocks with contiguous slice copies in either direction.
 
-Transforms to and from a padded m-lattice run through the pruned pair of a
-grid's `Workspace`.  The inverse writes the corner blocks into a zeroed
-complex scratch and runs the leading-axis inverse FFTs in place, in numpy's
-``irfftn`` order, only on the last-axis columns below N/2: the other columns
-are identically zero.  Each leading-axis pass also skips the rows of the
-leading axes it does not transform yet, which are zero too.  One ``irfft``
-over the last axis finishes it.  The forward transform is the mirror image in
+Transforms to and from a padded m-lattice run through the pruned pair
+``padded_irfft``/``truncated_rfft``.  The inverse writes the corner blocks
+into a zeroed complex scratch and runs the leading-axis inverse FFTs in
+place, in numpy's ``irfftn`` order, only on the last-axis columns below N/2:
+the other columns are identically zero.  Each leading-axis pass also skips
+the rows of the leading axes it does not transform yet, which are zero too.
+One ``irfft`` over the last axis finishes it.  The forward transform is the mirror image in
 ``rfftn`` order: it skips the columns and rows that the truncation to the
 retained lattice throws away.  Every line of a pass is the same 1D transform
 that ``irfftn``/``rfftn`` would run, so the results are bit-identical to
 ``irfftn(pad_half(...))`` and ``truncate_half(rfftn(...))``.
 
-The scratch is one flat complex and one flat real array per grid, cached by
-grid (``workspace``) rather than stored in the frozen `TorusGrid`, grown to
-the largest request and viewed per lattice.  Nothing that leaves a public
-function aliases it.  The kernels that use it are not reentrant: cbflab runs
-one thread per process.  ``out=`` on ``numpy.fft`` needs numpy 2.0.
+The scratch is one flat complex and one flat real array per process
+(``scratch``), shared by every grid, grown to the largest request and viewed
+per lattice.  Nothing that leaves a public function aliases it.  The kernels
+that use it are not reentrant: cbflab runs one thread per process.  ``out=``
+on ``numpy.fft`` needs numpy 2.0.
 """
 
 from __future__ import annotations
@@ -228,6 +228,32 @@ class TorusGrid:
             out[small] = spectrum[padded]
         return out
 
+    def _half_scratch(self, lead: tuple, m: int) -> np.ndarray:
+        return scratch(complex, lead + (m,) * (self.dim - 1) + (m // 2 + 1,))
+
+    def padded_irfft(self, coeffs: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+        """``irfftn(pad_half(coeffs, m))`` over the lattice axes, into ``out``, bit for bit.
+
+        Unnormalized like ``irfftn``: the caller scales by m^dim.
+        """
+        spec = self.pad_half(coeffs, m, self._half_scratch(coeffs.shape[: -self.dim], m))
+        for axis, views in _pruned_passes(self.N, self.dim, m):
+            for view in views:
+                np.fft.ifft(spec[view], axis=axis, out=spec[view])
+        return np.fft.irfft(spec, n=m, axis=-1, out=out)
+
+    def truncated_rfft(self, values: np.ndarray, m: int) -> np.ndarray:
+        """``truncate_half(rfftn(values), m)`` over the lattice axes, bit for bit.
+
+        The result is a new array; it does not alias the scratch.
+        """
+        spec = self._half_scratch(values.shape[: -self.dim], m)
+        np.fft.rfft(values, axis=-1, out=spec)
+        for axis, views in reversed(_pruned_passes(self.N, self.dim, m)):
+            for view in views:
+                np.fft.fft(spec[view], axis=axis, out=spec[view])
+        return self.truncate_half(spec, m)
+
     def to_phys(self, coeffs: np.ndarray, factor: float = 1.0) -> tuple:
         """Collocation values of the trig polynomial on a padded lattice.
 
@@ -238,7 +264,7 @@ class TorusGrid:
         """
         m = self.padded_size(factor) if factor > 1.0 else self.N
         vals = np.empty(coeffs.shape[: -self.dim] + (m,) * self.dim)
-        workspace(self).padded_irfft(coeffs, m, vals)
+        self.padded_irfft(coeffs, m, vals)
         vals *= float(m**self.dim)
         return vals, m
 
@@ -247,7 +273,7 @@ class TorusGrid:
 
         The returned array is exactly Hermitian and its mean mode is zero.
         """
-        half = workspace(self).truncated_rfft(values, m)
+        half = self.truncated_rfft(values, m)
         half /= float(m**self.dim)
         self.symmetrize_plane(half)
         half[(...,) + (0,) * self.dim] = 0.0
@@ -258,62 +284,22 @@ class TorusGrid:
         return _negate_axes(coeffs, range(-self.dim, 0))
 
 
-class Workspace:
-    """Scratch arrays of one grid and the pruned padded transform pair on them.
+#: The flat scratch of each dtype, shared by every grid in the process and
+#: grown to the largest request.
+_SCRATCH = {float: np.empty(0), complex: np.empty(0, dtype=complex)}
 
-    Views handed out by ``real`` and the scratch the transforms use are valid
-    until the next call into the same workspace; callers copy out anything
+
+def scratch(dtype, shape: tuple) -> np.ndarray:
+    """A ``shape`` view of the process scratch of ``dtype`` (``float`` or ``complex``).
+
+    Every request of a dtype shares the same memory, so the contents hold
+    only until the next user of that dtype writes; callers copy out anything
     they return.
     """
-
-    def __init__(self, grid: TorusGrid):
-        self.grid = grid
-        #: the flat scratch of each dtype, grown to the largest request
-        self.flat = {float: np.empty(0), complex: np.empty(0, dtype=complex)}
-
-    def _view(self, dtype, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        if self.flat[dtype].size < size:
-            self.flat[dtype] = np.empty(size, dtype=dtype)
-        return self.flat[dtype][:size].reshape(shape)
-
-    def real(self, count: int, m: int) -> np.ndarray:
-        """A (count, m, ..., m) view of the real scratch."""
-        return self._view(float, (count,) + (m,) * self.grid.dim)
-
-    def _half_lattice(self, lead: tuple, m: int) -> np.ndarray:
-        return self._view(complex, lead + (m,) * (self.grid.dim - 1) + (m // 2 + 1,))
-
-    def padded_irfft(self, coeffs: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
-        """``irfftn(grid.pad_half(coeffs, m))`` over the lattice axes, into ``out``, bit for bit.
-
-        Unnormalized like ``irfftn``: the caller scales by m^dim.
-        """
-        grid = self.grid
-        spec = grid.pad_half(coeffs, m, self._half_lattice(coeffs.shape[: -grid.dim], m))
-        for axis, views in _pruned_passes(grid.N, grid.dim, m):
-            for view in views:
-                np.fft.ifft(spec[view], axis=axis, out=spec[view])
-        return np.fft.irfft(spec, n=m, axis=-1, out=out)
-
-    def truncated_rfft(self, values: np.ndarray, m: int) -> np.ndarray:
-        """``grid.truncate_half(rfftn(values), m)`` over the lattice axes, bit for bit.
-
-        The result is a new array; it does not alias the scratch.
-        """
-        grid = self.grid
-        spec = self._half_lattice(values.shape[: -grid.dim], m)
-        np.fft.rfft(values, axis=-1, out=spec)
-        for axis, views in reversed(_pruned_passes(grid.N, grid.dim, m)):
-            for view in views:
-                np.fft.fft(spec[view], axis=axis, out=spec[view])
-        return grid.truncate_half(spec, m)
-
-
-@lru_cache(maxsize=4)
-def workspace(grid: TorusGrid) -> Workspace:
-    """The workspace of ``grid``; equal grids share one."""
-    return Workspace(grid)
+    size = math.prod(shape)
+    if _SCRATCH[dtype].size < size:
+        _SCRATCH[dtype] = np.empty(size, dtype=dtype)
+    return _SCRATCH[dtype][:size].reshape(shape)
 
 
 @lru_cache(maxsize=64)

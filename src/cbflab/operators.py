@@ -9,11 +9,11 @@ by block copies, sums them and applies the grid's Leray projector once.  The
 full-layout `bilinear_kernel` and `damping_kernel` are thin wrappers over the
 same half-layout pieces.
 
-The padded fields, products and damping weights live in the grid's
-`workspace` scratch and go through its pruned transform pair (see `grid`), so
-a warm call allocates only its half-layout results, which never alias the
-scratch.  The kernels are therefore not reentrant; cbflab runs one thread per
-process.
+The padded fields, products and damping weights live in the one process
+scratch (`grid.scratch`) and go through the grid's pruned transform pair (see
+`grid`), so a warm call allocates only its half-layout results, which never
+alias the scratch.  The kernels are therefore not reentrant; cbflab runs one
+thread per process.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MeanViolationError, ValidationError
 from .fields import SpectralVelocity
-from .grid import DAMPING_PAD, QUADRATIC_PAD, TorusGrid, workspace
+from .grid import DAMPING_PAD, QUADRATIC_PAD, TorusGrid, scratch
 
 #: Divergence below ``SNAP_TOL * max(1, |u_k|)`` is treated as exact zero, so
 #: projecting twice returns the first result bit-for-bit.
@@ -121,26 +121,25 @@ def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
     dim = grid.dim
     m = grid.padded_size(max(grid.dealias_factor, QUADRATIC_PAD))
     points = float(m**dim)
-    ws = workspace(grid)
     if v_half is None:
         pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
         fields = 1
     else:
         pairs = [(i, j) for i in range(dim) for j in range(dim)]
         fields = 2
-    work = ws.real(fields * dim + len(pairs), m)
+    work = scratch(float, (fields * dim + len(pairs),) + (m,) * dim)
     u, prods = work[:dim], work[fields * dim :]
-    ws.padded_irfft(u_half, m, u)
+    grid.padded_irfft(u_half, m, u)
     u *= points
     v = u
     if v_half is not None:
-        v = ws.padded_irfft(v_half, m, work[dim : 2 * dim])
+        v = grid.padded_irfft(v_half, m, work[dim : 2 * dim])
         v *= points
     # the product slots are free until the products are formed
     vmax = float(np.sqrt(np.max(_sum_squares(u, prods[0], prods[1]))))
     for p, (i, j) in enumerate(pairs):
         np.multiply(u[i], v[j], out=prods[p])
-    flux = ws.truncated_rfft(prods, m)
+    flux = grid.truncated_rfft(prods, m)
     grad = (2j * np.pi / grid.L * scale / points) * grid.half_k
     out = np.zeros((dim,) + grid.half_shape, dtype=complex)
     for p, (i, j) in enumerate(pairs):
@@ -155,16 +154,15 @@ def _damping_half(grid: TorusGrid, u_half, r: float, scale: float = 1.0):
     dim = grid.dim
     m = grid.padded_size(max(grid.dealias_factor, DAMPING_PAD))
     points = float(m**dim)
-    ws = workspace(grid)
-    work = ws.real(dim + 2, m)
+    work = scratch(float, (dim + 2,) + (m,) * dim)
     u, weight = work[:dim], work[dim]
-    ws.padded_irfft(u_half, m, u)
+    grid.padded_irfft(u_half, m, u)
     u *= points
     _sum_squares(u, weight, work[dim + 1])  # |u|^(r-1) is this to the power (r-1)/2
     if r != 3.0:
         np.power(weight, 0.5 * (r - 1.0), out=weight)
     u *= weight
-    out = ws.truncated_rfft(u, m)
+    out = grid.truncated_rfft(u, m)
     out *= scale / points
     return out
 

@@ -89,13 +89,21 @@ class NoiseConfig:
 
 @dataclass
 class RandomTrajectory:
-    """Transformed-variable trajectory plus reconstructed velocities."""
+    """Transformed-variable trajectory plus the OU values to reconstruct velocities."""
 
     v: Trajectory
-    u_states: list
     z_at_samples: list
     mode: str
     epsilon: float
+    phi: SpectralVelocity | None = None  # the additive noise profile
+
+    @property
+    def u_states(self) -> list:
+        """The velocity u at every snapshot, derived from ``v`` on access."""
+        return [
+            _reconstruct(state, self.mode, self.epsilon, z, self.phi)
+            for state, z in zip(self.v.states, self.z_at_samples)
+        ]
 
 
 def solve_transformed(
@@ -135,12 +143,8 @@ def solve_transformed(
 
     eps = noise.epsilon
     z_samples = [ou.value(ts) if eps != 0.0 else 0.0 for ts in traj.sample_times]
-    u_states = [
-        _reconstruct(state, noise.mode, eps, z, noise.phi)
-        for state, z in zip(traj.states, z_samples)
-    ]
     return RandomTrajectory(
-        v=traj, u_states=u_states, z_at_samples=z_samples, mode=noise.mode, epsilon=eps
+        v=traj, z_at_samples=z_samples, mode=noise.mode, epsilon=eps, phi=noise.phi
     )
 
 

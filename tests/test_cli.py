@@ -335,3 +335,37 @@ def test_pullback_seed_offset_shifts_the_noise_seed(tmp_path):
     out = tmp_path / "o"
     assert main(["pullback", "--config", cfg, "--out", str(out), "--seed-offset", "2"]) == 0
     assert json.loads((out / "pullback_sample.json").read_text())["seed"] == 3
+
+
+SEEDED = BASE + """
+[noise]
+mode = multiplicative
+epsilon = 0.1
+eps_grid = 0.1,0.05,0.025
+ou_alpha = 2.5
+seed = 5
+n_samples = 3
+
+[solver]
+h = 0.02
+T = 20.0
+t_pull = 2.0
+tol = 1e-6
+pullback_tol = 10.0
+"""
+
+
+@pytest.mark.parametrize("subcommand,seeds", [
+    ("check-conditions", []),
+    ("simulate", []),
+    ("singleton", []),
+    ("pullback", [7]),
+    ("sweep", [7, 8, 9]),
+    # the OU statistics draw at least 1000 paths and ignore --seed-offset
+    ("ou-diagnostics", list(range(5, 1005))),
+])
+def test_manifest_lists_the_seeds_drawn(tmp_path, subcommand, seeds):
+    cfg = write(tmp_path, "seeded.cfg", SEEDED)
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out), "--seed-offset", "2"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == seeds

@@ -22,7 +22,7 @@ from cbflab import (
     trilinear_b,
     v_norm,
 )
-from cbflab.grid import workspace
+from cbflab.grid import _SCRATCH
 from cbflab.operators import (
     a_norm,
     bilinear_kernel,
@@ -336,7 +336,7 @@ def test_nonlinear_kernel_matches_convective_reference(dim, n, r, form):
 
 
 # ---------------------------------------------------------------------------
-# Pruned padded transforms and their per-grid scratch
+# Pruned padded transforms and the process scratch
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dealias", [1.0, 1.5, 2.0, 3.0])
@@ -345,16 +345,15 @@ def test_nonlinear_kernel_matches_convective_reference(dim, n, r, form):
 def test_pruned_transforms_match_numpy_bitwise(dim, n, dealias):
     # at dealias >= 2 the advection and damping lattices coincide
     g = TorusGrid(dim=dim, N=n, dealias_factor=dealias)
-    ws = workspace(g)
     u = g.to_half(random_field(g, 5, h_norm=1.3).coeffs)
     axes = tuple(range(-dim, 0))
     for m in {n, g.padded_size(max(dealias, 1.5)), g.padded_size(max(dealias, 2.0))}:
         want = np.fft.irfftn(g.pad_half(u, m), s=(m,) * dim, axes=axes)
-        got = ws.padded_irfft(u, m, np.empty_like(want))
+        got = g.padded_irfft(u, m, np.empty_like(want))
         assert got.tobytes() == want.tobytes(), m
         values = want * want[::-1]  # a full spectrum for the truncation to cut
         want = g.truncate_half(np.fft.rfftn(values, axes=axes), m)
-        assert ws.truncated_rfft(values, m).tobytes() == want.tobytes(), m
+        assert g.truncated_rfft(values, m).tobytes() == want.tobytes(), m
 
 
 def _kernel_results(g, r):
@@ -368,7 +367,12 @@ def _kernel_results(g, r):
         damping_kernel(g, u, r),
         g.to_phys(u, 2.0)[0],
     ]
-    return results, tuple(workspace(g).flat.values())
+    return results, tuple(_SCRATCH.values())
+
+
+def _clear_scratch():
+    for dtype in _SCRATCH:
+        _SCRATCH[dtype] = np.empty(0, dtype=dtype)
 
 
 def test_kernel_results_never_alias_the_scratch():
@@ -381,9 +385,9 @@ def test_kernel_results_never_alias_the_scratch():
     cases = [(g, r) for r in (1.0, 2.5, 3.0) for g in grids]
     fresh = {}
     for g, r in cases:
-        workspace.cache_clear()
+        _clear_scratch()
         fresh[g, r] = [a.tobytes() for a in _kernel_results(g, r)[0]]
-    workspace.cache_clear()
+    _clear_scratch()
     kept = []
     for g, r in cases:
         results, scratch = _kernel_results(g, r)
@@ -392,6 +396,24 @@ def test_kernel_results_never_alias_the_scratch():
         kept.append((g, r, results, [a.tobytes() for a in results]))
     for g, r, results, at_return in kept:
         assert [a.tobytes() for a in results] == at_return == fresh[g, r]
+
+
+def test_one_scratch_serves_every_grid():
+    # more grids than a four-entry cache keyed by grid would keep
+    grids = (
+        TorusGrid(dim=2, N=16),
+        TorusGrid(dim=3, N=8),
+        TorusGrid(dim=2, N=32),
+        TorusGrid(dim=3, N=16),
+        TorusGrid(dim=2, N=16, dealias_factor=2.0),
+        TorusGrid(dim=3, N=8, dealias_factor=3.0),
+    )
+    first = [[a.tobytes() for a in _kernel_results(g, 3.0)[0]] for g in grids]
+    kept = tuple(_SCRATCH.values())
+    for g, want in zip(grids, first):
+        results, scratch = _kernel_results(g, 3.0)
+        assert all(now is before for now, before in zip(scratch, kept))
+        assert [a.tobytes() for a in results] == want
 
 
 def test_warm_nonlinear_kernel_allocation_is_bounded():
