@@ -76,10 +76,11 @@ def _materialize(cfg: RunConfig):
         mu=cfg.physics.mu, beta=cfg.physics.beta, r=cfg.physics.r,
         darcy=cfg.physics.darcy, forcing=forcing,
     )
-    constants = EstimateConstants(
-        c1=cfg.constants.c1, c2=cfg.constants.c2, c3=cfg.constants.c3
-    )
-    return grid, params, constants
+    return grid, params, _constants(cfg)
+
+
+def _constants(cfg: RunConfig) -> EstimateConstants:
+    return EstimateConstants(c1=cfg.constants.c1, c2=cfg.constants.c2, c3=cfg.constants.c3)
 
 
 def _initial_state(cfg, grid):
@@ -205,12 +206,11 @@ def _cmd_sweep(cfg, out_dir, args):
     if not eps_grid:
         raise ValidationError("noise.eps_grid: sweep requires an epsilon grid")
     phi = build_field(cfg.noise.phi, grid)
-    seeds = [cfg.noise.seed + args.seed_offset + i for i in range(cfg.noise.n_samples)]
     result = rate_sweep(
         params, grid, cfg.noise.mode, eps_grid, cfg.noise.n_samples,
         cfg.solver.t_pull, cfg.solver.h,
         phi=phi, ou_alpha=cfg.noise.ou_alpha,
-        base_seed=seeds[0],
+        base_seed=cfg.noise.seed + args.seed_offset,
         pullback_tol=cfg.solver.pullback_tol, singleton_tol=cfg.solver.tol,
         singleton_maxT=cfg.solver.T, n_probes=cfg.solver.n_probes,
         constants=constants,
@@ -249,7 +249,7 @@ def _cmd_sweep(cfg, out_dir, args):
         f"fitted slope {result.fit.slope!r} "
         f"(theory {result.fit.delta_theory!r}) over {len(result.records)} records"
     )
-    return artifacts, EXIT_OK, seeds
+    return artifacts, EXIT_OK, result.seeds
 
 
 def _cmd_ou_diagnostics(cfg, out_dir, args):
@@ -367,6 +367,25 @@ def _cmd_report(cfg_path, out_dir, args):
     return artifacts, EXIT_OK
 
 
+#: The config keys each subcommand has no use for; setting one is an error.
+_UNUSED_KEYS = {
+    "singleton": ("solver.initial", "output.snapshot_every"),
+    "pullback": ("output.snapshot_every",),
+    "sweep": ("solver.initial", "output.snapshot_every"),
+}
+
+
+def _unused_key_violations(cfg: RunConfig, subcommand: str) -> list:
+    """A violation for every key ``subcommand`` would drop that ``cfg`` moves off its default."""
+    default = RunConfig()
+    return [
+        f"{key}: set, but {subcommand} does not use it; leave it at its default"
+        for key in _UNUSED_KEYS.get(subcommand, ())
+        for section, name in [key.split(".")]
+        if getattr(getattr(cfg, section), name) != getattr(getattr(default, section), name)
+    ]
+
+
 #: The subcommands that run a config, in the order ``--help`` lists them.
 _COMMANDS = {
     "check-conditions": _cmd_check_conditions,
@@ -385,12 +404,12 @@ def run(subcommand: str, config_path: str, out_dir: str, args) -> int:
         return _cmd_report(config_path, out_dir, args)[1]
 
     cfg = parse_config(_load_config_text(config_path))
+    unused = _unused_key_violations(cfg, subcommand)
+    if unused:
+        raise ValidationError(unused)
     artifacts, code, seeds = _COMMANDS[subcommand](cfg, out_dir, args)
-    constants = EstimateConstants(
-        c1=cfg.constants.c1, c2=cfg.constants.c2, c3=cfg.constants.c3
-    )
     write_manifest(
-        out_dir, subcommand, serialize_config(cfg), constants, seeds, artifacts
+        out_dir, subcommand, serialize_config(cfg), _constants(cfg), seeds, artifacts
     )
     return code
 

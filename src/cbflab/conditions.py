@@ -147,7 +147,7 @@ def check_singleton_condition(
             thr = threshold_2d(mu, lam1, constants.c1)
         else:
             rho = varrho_2d_alt(mu, lam1, constants.c1, f_h)
-            thr = 1.0 / constants.c1
+            thr = threshold_2d_alt(mu, lam1, constants.c1)
     else:
         if grid.dim != 3:
             raise ValidationError(f"regime: {regime} requires a 3D grid")

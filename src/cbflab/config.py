@@ -18,7 +18,6 @@ violation with its field path, not just the first.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields
 
@@ -27,7 +26,7 @@ from .fields import (
     SpectralVelocity, random_field, read_field, rescale_to_h, single_mode_field,
 )
 from .grid import TorusGrid
-from .params import EstimateConstants, PhysicsParams, SolverSettings
+from .params import NONE, EstimateConstants, PhysicsParams, SolverSettings
 from .random_pde import NoiseConfig
 
 
@@ -66,7 +65,7 @@ class ModesSpec:
 class RandomSpec:
     seed: int
     hnorm: float
-    kmax: float = -1.0  # nonpositive means "use the grid default N/4"
+    kmax: float = -1.0  # nonpositive means "use random_field's default band"
 
     def serialize(self) -> str:
         return f"random seed={self.seed} hnorm={self.hnorm!r} kmax={self.kmax!r}"
@@ -88,7 +87,7 @@ def parse_field_spec(text: str, where: str, problems: list):
             return RandomSpec(
                 seed=int(kv.get("seed", "0")),
                 hnorm=float(kv.get("hnorm", "1.0")),
-                kmax=float(kv.get("kmax", "-1.0")),
+                kmax=float(kv.get("kmax", RandomSpec.kmax)),
             )
         except ValueError as exc:
             problems.append(f"{where}: bad random spec ({exc})")
@@ -136,7 +135,7 @@ def build_field(spec, grid: TorusGrid, h_norm_override: float | None = None):
         if not u.grid.compatible(grid):
             raise ValidationError(f"field file {spec.path} has an incompatible grid")
     elif isinstance(spec, RandomSpec):
-        kmax = spec.kmax if spec.kmax > 0 else grid.N / 4.0
+        kmax = spec.kmax if spec.kmax > 0 else None
         u = random_field(grid, spec.seed, h_norm=spec.hnorm, kmax=kmax)
     elif isinstance(spec, ModesSpec):
         total = None
@@ -157,8 +156,8 @@ def build_field(spec, grid: TorusGrid, h_norm_override: float | None = None):
 class GridSection:
     dim: int = 2
     N: int = 32
-    L: float = 2.0 * math.pi
-    dealias_factor: float = 1.5
+    L: float = TorusGrid.L
+    dealias_factor: float = TorusGrid.dealias_factor
 
 
 @dataclass(frozen=True)
@@ -166,19 +165,19 @@ class PhysicsSection:
     mu: float = 1.0
     beta: float = 1.0
     r: float = 3.0
-    darcy: float = 0.0
+    darcy: float = PhysicsParams.darcy
     forcing: object = field(default_factory=NoneSpec)
     forcing_h_norm: float | None = None
 
 
 @dataclass(frozen=True)
 class NoiseSection:
-    mode: str = "none"
-    epsilon: float = 0.0
+    mode: str = NONE
+    epsilon: float = NoiseConfig.epsilon
     eps_grid: tuple = ()
-    ou_alpha: float = 1.0
+    ou_alpha: float = NoiseConfig.ou_alpha
     phi: object = field(default_factory=NoneSpec)
-    seed: int = 0
+    seed: int = NoiseConfig.seed
     n_samples: int = 2
 
 
@@ -189,9 +188,9 @@ class SolverSection(SolverSettings):
 
 @dataclass(frozen=True)
 class ConstantsSection:
-    c1: float = math.sqrt(2.0)
-    c2: float = math.sqrt(2.0)
-    c3: float = 2.0
+    c1: float = EstimateConstants.c1
+    c2: float = EstimateConstants.c2
+    c3: float = EstimateConstants.c3
 
 
 @dataclass(frozen=True)
@@ -320,7 +319,7 @@ def validate_config(cfg: RunConfig) -> list:
                     )
     if ph.forcing_h_norm is not None and isinstance(ph.forcing, NoneSpec):
         p.append("physics.forcing_h_norm: set, but forcing = none has no norm to rescale")
-    if nz.mode != "none" and ph.darcy != 0.0:
+    if nz.mode != NONE and ph.darcy != 0.0:
         p.append("physics.darcy: random dynamics require darcy = 0")
     if not (1 <= nz.n_samples <= MAX_SAMPLES):
         p.append(f"noise.n_samples: must lie in [1, {MAX_SAMPLES}], got {nz.n_samples}")

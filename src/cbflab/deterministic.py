@@ -65,16 +65,16 @@ def integrating_factor(grid: TorusGrid, mu: float, h: float) -> np.ndarray:
     return np.exp(-(mu * grid.lambda1 * h) * grid.half_k2)
 
 
-def _tendency(grid, params, noise, ou, t0):
+def _tendency(grid, params, noise, ou, t0, f_half):
     """Half-layout right-hand side of the system ``noise`` transforms, and its CFL velocity.
 
     With the OU value z frozen at each step's left endpoint, m = eps for
     multiplicative noise and s = eps z for additive noise (each 0 otherwise),
     the tendency is  -P(e^{m z} B(w) + beta e^{m (r-1) z} |w|^(r-1) w)
     + m alpha z u + e^{-m z} f - darcy u + s (alpha Phi - mu A Phi),  w = u + s Phi.
-    A term whose coefficient is 0 is skipped and a scale of exactly 1.0 is
-    not multiplied, so ``noise=None`` and eps = 0 execute exactly the
-    arithmetic of the deterministic equation.
+    f = ``f_half`` (None if unforced).  A term whose coefficient is 0 is skipped
+    and a scale of exactly 1.0 is not multiplied, so ``noise=None`` and eps = 0
+    execute exactly the arithmetic of the deterministic equation.
     """
     beta, r, darcy = params.beta, params.r, params.darcy
     eps = 0.0 if noise is None else noise.epsilon
@@ -82,7 +82,6 @@ def _tendency(grid, params, noise, ou, t0):
     add = eps if noise is not None and noise.mode == ADDITIVE else 0.0
     alpha = 0.0 if noise is None else noise.ou_alpha
     j0 = None if eps == 0.0 else ou.index(t0)
-    f_half = None if params.forcing is None else grid.to_half(params.forcing.coeffs)
     if add != 0.0:
         phi = grid.to_half(noise.phi.coeffs)
         # eps z times this is the noise's own drive, eps z (alpha Phi - mu A Phi)
@@ -145,7 +144,8 @@ def drive(
     )
     if n_steps < 1:
         raise ValidationError(f"horizon: need at least one step of h = {h}, got {n_steps}")
-    rhs = _tendency(grid, params, noise, ou, t0)
+    f_half = None if params.forcing is None else grid.to_half(params.forcing.coeffs)
+    rhs = _tendency(grid, params, noise, ou, t0, f_half)
     ex = integrating_factor(grid, params.mu, h)
     u = grid.to_half(u0_coeffs)
     n_rec = n_steps + 1
@@ -160,7 +160,7 @@ def drive(
     # Parseval weights of the half layout for |u|_H^2, |u|_V^2 and (f, u)
     h_weight = grid.volume() * grid.half_weight
     v_weight = (grid.lambda1 * grid.half_k2) * h_weight
-    f_weight = None if params.forcing is None else h_weight * grid.to_half(params.forcing.coeffs)
+    f_weight = None if f_half is None else h_weight * f_half
 
     def power(c):
         return np.sum(c.real**2 + c.imag**2, axis=0)
@@ -266,7 +266,7 @@ def energy_residual(traj: Trajectory, params: PhysicsParams) -> np.ndarray:
 
 def probe_field(grid: TorusGrid, seed: int) -> SpectralVelocity:
     """Reproducible unit-H-norm probe with a |k|^-2 spectrum up to N/4."""
-    return random_field(grid, seed, h_norm=1.0, kmax=grid.N / 4.0, spectral_slope=-2.0)
+    return random_field(grid, seed)
 
 
 @dataclass
@@ -336,7 +336,7 @@ def find_singleton(
             new_states.append(traj.final_state.coeffs)
             drifts.append(traj.last_drift)
         states = new_states
-        t += steps * h
+        t = (start + steps) * h
         dmax = max(
             h_norm_kernel(grid, states[i] - states[j])
             for i in range(n_probes)

@@ -139,6 +139,10 @@ class SweepResult:
     singleton: SingletonResult
     t_pull: float
 
+    @property
+    def seeds(self) -> list:  # the noise seeds drawn, in order
+        return list(dict.fromkeys(r.seed for r in self.records))
+
 
 def rate_sweep(
     params: PhysicsParams,
@@ -150,7 +154,7 @@ def rate_sweep(
     h: float,
     *,
     phi: SpectralVelocity | None = None,
-    ou_alpha: float = 1.0,
+    ou_alpha: float = NoiseConfig.ou_alpha,
     base_seed: int = 0,
     pullback_tol: float = SolverSettings.pullback_tol,
     singleton_tol: float = SolverSettings.tol,

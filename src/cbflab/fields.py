@@ -181,7 +181,7 @@ def write_field(path, u: SpectralVelocity) -> None:
         fh.write(payload)
 
 
-def read_field(path, dealias_factor: float = 1.5) -> SpectralVelocity:
+def read_field(path, dealias_factor: float = TorusGrid.dealias_factor) -> SpectralVelocity:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER_BYTES:

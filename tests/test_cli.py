@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cbflab
 from cbflab.cli import main
 
 BASE = """
@@ -369,3 +374,67 @@ def test_manifest_lists_the_seeds_drawn(tmp_path, subcommand, seeds):
     out = tmp_path / "o"
     assert main([subcommand, "--config", cfg, "--out", str(out), "--seed-offset", "2"]) == 0
     assert json.loads((out / "manifest.json").read_text())["seeds"] == seeds
+
+
+@pytest.mark.parametrize("subcommand,key", [
+    ("singleton", "solver.initial"),
+    ("sweep", "solver.initial"),
+    ("singleton", "output.snapshot_every"),
+    ("pullback", "output.snapshot_every"),
+    ("sweep", "output.snapshot_every"),
+])
+def test_keys_a_subcommand_would_drop_are_rejected(tmp_path, capsys, subcommand, key):
+    section, name = key.split(".")
+    value = {"initial": "random seed=1 hnorm=0.5 kmax=4", "snapshot_every": "10"}[name]
+    cfg = write(tmp_path, "c.cfg", SEEDED + f"\n[{section}]\n{name} = {value}\n")
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and subcommand in err
+    assert not (out / "manifest.json").exists()
+
+
+REPRODUCIBLE = BASE + """
+[noise]
+mode = multiplicative
+epsilon = 0.1
+ou_alpha = 2.5
+seed = 3
+
+[solver]
+h = 0.02
+t_pull = 2.0
+pullback_tol = 10.0
+initial = random seed=1 hnorm=0.5 kmax=4
+"""
+
+
+def _run_module(cfg, out, **env):
+    """``python -m cbflab.cli pullback`` in a fresh process, on this checkout's package."""
+    package_root = str(Path(cbflab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "cbflab.cli", "pullback", "--config", cfg, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path, **env}, check=True, capture_output=True,
+    )
+
+
+@pytest.mark.parametrize("knob", ["output-directory", "CBF_LOG", "process"])
+def test_knobs_outside_the_contract_keep_every_byte(tmp_path, monkeypatch, knob):
+    # the reproducibility contract: only the config, --seed-offset and the
+    # numpy version decide the bytes of a run, manifest.json included
+    cfg = write(tmp_path, "repro.cfg", REPRODUCIBLE)
+    first, second = tmp_path / "first", tmp_path / "nested" / "second"
+    if knob == "output-directory":
+        monkeypatch.chdir(tmp_path)
+        assert main(["pullback", "--config", cfg, "--out", str(first)]) == 0
+        assert main(["pullback", "--config", cfg, "--out", "nested/second"]) == 0
+    elif knob == "CBF_LOG":
+        _run_module(cfg, first, CBF_LOG="error")
+        _run_module(cfg, second, CBF_LOG="debug")
+    else:
+        assert main(["pullback", "--config", cfg, "--out", str(first)]) == 0
+        _run_module(cfg, second)
+    written = {p.name: p.read_bytes() for p in first.iterdir()}
+    assert sorted(written) == ["manifest.json", "pullback_sample.cbff", "pullback_sample.json"]
+    assert {p.name: p.read_bytes() for p in second.iterdir()} == written

@@ -49,6 +49,54 @@ def test_minimal_config_fills_defaults():
     assert isinstance(cfg.physics.forcing, NoneSpec)
 
 
+#: The canonical text of the empty config.  Every manifest records its config
+#: in this form, so a default changed at its owner shows up here.
+DEFAULTS_TEXT = """[grid]
+dim = 2
+N = 32
+L = 6.283185307179586
+dealias_factor = 1.5
+
+[physics]
+mu = 1.0
+beta = 1.0
+r = 3.0
+darcy = 0.0
+forcing = none
+
+[noise]
+mode = none
+epsilon = 0.0
+ou_alpha = 1.0
+phi = none
+seed = 0
+n_samples = 2
+
+[solver]
+h = 0.01
+T = 10.0
+t_pull = 40.0
+tol = 1e-08
+pullback_tol = 0.0001
+cfl_safety = 0.4
+blowup_guard = 1000000.0
+n_probes = 3
+initial = none
+
+[constants]
+c1 = 1.4142135623730951
+c2 = 1.4142135623730951
+c3 = 2.0
+
+[output]
+snapshot_every = 0
+"""
+
+
+def test_serialized_defaults_are_pinned():
+    assert serialize_config(parse_config("")) == DEFAULTS_TEXT
+
+
 def test_comments_and_blank_lines():
     cfg = parse_config("# leading comment\n" + MINIMAL + "\n# trailing\n")
     assert cfg.grid.N == 16

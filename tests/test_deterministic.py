@@ -195,6 +195,17 @@ def test_find_singleton_budget_is_whole_steps(grid2d_small, monkeypatch):
         find_singleton(p, grid2d_small, maxT=2.0, n_probes=2, h=0.03)
 
 
+def test_find_singleton_clock_is_the_step_count_times_h(grid2d_small):
+    # ten one-step chunks; adding h ten times would end at 0.09999999999999999
+    p = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
+    res = find_singleton(
+        p, grid2d_small, tol=1e-13, maxT=0.1, n_probes=2, h=0.01, check_every=0.01
+    )
+    assert not res.converged
+    assert res.t_final == 0.1
+    assert [t for t, _, _ in res.contraction_log] == [n * 0.01 for n in range(1, 11)]
+
+
 @pytest.mark.parametrize("check_every", [math.nan, math.inf, 1e308, 0.0, -1.0])
 def test_find_singleton_rejects_bad_check_every(grid2d_small, check_every):
     p = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
