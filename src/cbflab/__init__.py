@@ -51,7 +51,6 @@ from .random_pde import (
     NoiseConfig,
     PullbackSample,
     pullback_sample,
-    solve_transformed,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "sample_wiener",
     "simulate",
     "single_mode_field",
-    "solve_transformed",
     "stokes_apply",
     "trilinear_b",
     "v_norm",

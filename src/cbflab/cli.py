@@ -11,11 +11,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields as dc_fields
 
 import numpy as np
 
 from .conditions import check_singleton_condition
-from .config import RunConfig, build_field, parse_config, serialize_config
+from .config import NoiseSection, RunConfig, build_field, parse_config, serialize_config
 from .deterministic import energy_residual, find_singleton, simulate
 from .errors import BlowUpError, CBFError, NonConvergenceError, ValidationError
 from .experiments import mean_inversions, rate_sweep
@@ -368,8 +369,10 @@ def _cmd_report(cfg_path, out_dir, args):
 
 
 #: The config keys each subcommand has no use for; setting one is an error.
+_NOISE_KEYS = tuple(f"noise.{f.name}" for f in dc_fields(NoiseSection))
 _UNUSED_KEYS = {
-    "singleton": ("solver.initial", "output.snapshot_every"),
+    "simulate": _NOISE_KEYS,
+    "singleton": ("solver.initial", "output.snapshot_every", *_NOISE_KEYS),
     "pullback": ("output.snapshot_every",),
     "sweep": ("solver.initial", "output.snapshot_every"),
 }

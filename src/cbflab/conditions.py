@@ -95,9 +95,6 @@ class ConditionReport:
     holds: bool
     eta3: float | None
     constants: EstimateConstants
-    mu: float
-    lambda1: float
-    forcing_h: float
 
     def summary(self) -> str:
         lines = [
@@ -175,7 +172,4 @@ def check_singleton_condition(
         holds=rho > 0.0,
         eta3=eta,
         constants=constants,
-        mu=mu,
-        lambda1=lam1,
-        forcing_h=f_h,
     )

@@ -214,25 +214,48 @@ def simulate(
     T: float,
     h: float,
     *,
+    noise=None,
+    t0: float = 0.0,
     sample_every: int = SolverSettings.snapshot_every,
     record_lr: bool = False,
     cfl_safety: float = SolverSettings.cfl_safety,
     blowup_guard: float = SolverSettings.blowup_guard,
 ) -> Trajectory:
-    """Integrate the deterministic system over [0, T]."""
+    """Integrate over [t0, t0 + T] the deterministic system, or the one that
+    the ``random_pde.NoiseConfig`` ``noise`` transforms.
+
+    Additive noise is 2D only, multiplicative noise runs in 2D and 3D, and
+    mode ``none`` (epsilon = 0) runs the deterministic right-hand side.  The
+    transformed systems are stated for darcy = 0.  With epsilon != 0 they
+    run along the OU path that ``noise.path`` draws on the grid of steps
+    ``h``, so ``t0`` must be a whole number of steps.  The states are the
+    transformed variable v.
+    """
     SolverSettings.check(h=h, T=T)  # drive checks the rest
     grid = u0.grid
     params.validate_for_dim(grid.dim)
     if params.forcing is not None:
         u0.same_grid(params.forcing)
     n_steps = step_count(T, h, "solver.T")
+    ou = None
+    if noise is not None:
+        if params.darcy != 0.0:
+            raise ValidationError(
+                "physics.darcy: the transformed random systems are stated for darcy = 0"
+            )
+        if noise.phi is not None:
+            u0.same_grid(noise.phi)
+        if noise.epsilon != 0.0:
+            ou = noise.path(t0, t0 + T, h)
     return drive(
         grid,
         u0.coeffs,
         params,
-        None,
+        noise,
         h,
         n_steps,
+        ou=ou,
+        t0=t0,
         sample_every=sample_every,
         record_lr=record_lr,
         cfl_safety=cfl_safety,

@@ -10,7 +10,7 @@ least-squares line through (log eps, log mean distance).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,7 +238,6 @@ class ContractionResult:
     varrho: float
     flagged: list
     times: np.ndarray
-    log_sq_distances: list = field(repr=False, default_factory=list)
 
 
 def contraction_experiment(
@@ -264,7 +263,7 @@ def contraction_experiment(
         )
     n_steps = step_count(T, h, "T")
     sample_every = max(1, n_steps // 256)
-    slopes, flagged, curves = [], [], []
+    slopes, flagged = [], []
     times = None
     for p in range(n_pairs):
         u1 = probe_field(grid, base_seed + 2 * p)
@@ -280,7 +279,6 @@ def contraction_experiment(
         )
         keep = d > DISTANCE_FLOOR
         log_sq = np.where(keep, 2.0 * np.log(np.maximum(d, DISTANCE_FLOOR)), np.nan)
-        curves.append(log_sq)
         tail = (times >= (1.0 - TAIL_FRACTION) * T) & keep
         if np.sum(tail) < 3 or d[-1] >= d[0]:
             flagged.append(p)
@@ -293,5 +291,4 @@ def contraction_experiment(
         varrho=report.varrho,
         flagged=flagged,
         times=times,
-        log_sq_distances=curves,
     )

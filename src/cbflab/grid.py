@@ -94,10 +94,10 @@ class TorusGrid:
             problems.append(f"grid.dim: must be 2 or 3, got {dim}")
         if N % 2 != 0 or N < 8:
             problems.append(f"grid.N: must be even and >= 8, got {N}")
-        if not (L > 0):
-            problems.append(f"grid.L: must be positive, got {L}")
-        if not (dealias_factor >= 1.0):
-            problems.append(f"grid.dealias_factor: must be >= 1, got {dealias_factor}")
+        if not (0 < L < math.inf):
+            problems.append(f"grid.L: must be positive and finite, got {L}")
+        if not (1.0 <= dealias_factor < math.inf):
+            problems.append(f"grid.dealias_factor: must be >= 1 and finite, got {dealias_factor}")
         return problems
 
     def __post_init__(self):

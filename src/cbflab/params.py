@@ -34,16 +34,18 @@ def step_count(t: float, h: float, what: str) -> int:
     return int(n)
 
 
+_POSITIVE_FINITE = "must be positive and finite"
+
 #: The rule of each solver setting: where it lives in a config, what it
 #: needs and a comparison that NaN fails.
 _SOLVER_RULES = {
-    "h": ("solver.h", "must be positive", lambda x: x > 0),
-    "T": ("solver.T", "must be positive", lambda x: x > 0),
-    "t_pull": ("solver.t_pull", "must be positive", lambda x: x > 0),
-    "tol": ("solver.tol", "must be positive", lambda x: x > 0),
-    "pullback_tol": ("solver.pullback_tol", "must be positive", lambda x: x > 0),
+    "h": ("solver.h", _POSITIVE_FINITE, lambda x: 0 < x < math.inf),
+    "T": ("solver.T", _POSITIVE_FINITE, lambda x: 0 < x < math.inf),
+    "t_pull": ("solver.t_pull", _POSITIVE_FINITE, lambda x: 0 < x < math.inf),
+    "tol": ("solver.tol", _POSITIVE_FINITE, lambda x: 0 < x < math.inf),
+    "pullback_tol": ("solver.pullback_tol", _POSITIVE_FINITE, lambda x: 0 < x < math.inf),
     "cfl_safety": ("solver.cfl_safety", "must lie in (0, 1]", lambda x: 0 < x <= 1),
-    "blowup_guard": ("solver.blowup_guard", "must be positive", lambda x: x > 0),
+    "blowup_guard": ("solver.blowup_guard", _POSITIVE_FINITE, lambda x: 0 < x < math.inf),
     "n_probes": ("solver.n_probes", "must be >= 2", lambda x: x >= 2),
     "snapshot_every": ("output.snapshot_every", "must be >= 0", lambda x: x >= 0),
 }
@@ -109,14 +111,14 @@ class PhysicsParams:
         """Every violated coefficient rule; with ``dim``, also the 3D
         well-posedness window (r >= 3, and 2 beta mu >= 1 at r = 3)."""
         problems = []
-        if not (mu > 0):
-            problems.append(f"physics.mu: must be positive, got {mu}")
-        if not (beta >= 0):
-            problems.append(f"physics.beta: must be >= 0, got {beta}")
-        if not (r >= 1):
-            problems.append(f"physics.r: absorption exponent must be >= 1, got {r}")
-        if not (darcy >= 0):
-            problems.append(f"physics.darcy: must be >= 0, got {darcy}")
+        if not (0 < mu < math.inf):
+            problems.append(f"physics.mu: must be positive and finite, got {mu}")
+        if not (0 <= beta < math.inf):
+            problems.append(f"physics.beta: must be >= 0 and finite, got {beta}")
+        if not (1 <= r < math.inf):
+            problems.append(f"physics.r: absorption exponent must be >= 1 and finite, got {r}")
+        if not (0 <= darcy < math.inf):
+            problems.append(f"physics.darcy: must be >= 0 and finite, got {darcy}")
         if dim == 3:
             if not (r >= 3):
                 problems.append(f"physics.r: 3D requires r >= 3, got {r}")
@@ -156,9 +158,9 @@ class EstimateConstants:
     @staticmethod
     def violations(c1, c2, c3) -> list:
         return [
-            f"constants.{name}: must be positive, got {val}"
+            f"constants.{name}: {_POSITIVE_FINITE}, got {val}"
             for name, val in (("c1", c1), ("c2", c2), ("c3", c3))
-            if not (val > 0)
+            if not (0 < val < math.inf)
         ]
 
     def __post_init__(self):

@@ -1,11 +1,12 @@
-"""Pathwise solvers for the noise-transformed systems and pullback sampling.
+"""The noise of the transformed systems and pullback sampling.
 
 The Stratonovich noise never appears as a stochastic integral: the additive
 and multiplicative transforms of the driving OU process turn the stochastic
 equations into random PDEs with pathwise coefficients, and those are what is
 integrated.  Within a step the OU value is frozen at the left endpoint.
 
-`deterministic.drive` builds the transformed right-hand side from the
+`deterministic.simulate` integrates the system a ``NoiseConfig``
+transforms, and `deterministic.drive` builds its right-hand side from the
 noise; with epsilon = 0 every noise term is zero and skipped, so the
 reduction to the unperturbed solver is bit-for-bit, not merely close.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deterministic import Trajectory, drive
+from .deterministic import simulate
 from .errors import GridMismatchError, ValidationError
 from .fields import SpectralVelocity, zero_velocity
 from .grid import TorusGrid
@@ -58,8 +59,8 @@ class NoiseConfig:
             problems.append(f"noise.epsilon: must lie in [0, 1], got {epsilon}")
         if mode == NONE and epsilon != 0.0:
             problems.append("noise.epsilon: mode 'none' requires epsilon = 0")
-        if not (ou_alpha > 0):
-            problems.append(f"noise.ou_alpha: must be positive, got {ou_alpha}")
+        if not (0 < ou_alpha < math.inf):
+            problems.append(f"noise.ou_alpha: must be positive and finite, got {ou_alpha}")
         if mode == ADDITIVE:
             if dim not in (None, 2):
                 problems.append("noise.mode: additive noise is 2D only (no 3D additive theory)")
@@ -86,66 +87,11 @@ class NoiseConfig:
         if problems:
             raise ValidationError(problems)
 
-
-@dataclass
-class RandomTrajectory:
-    """Transformed-variable trajectory plus the OU values to reconstruct velocities."""
-
-    v: Trajectory
-    z_at_samples: list
-    mode: str
-    epsilon: float
-    phi: SpectralVelocity | None = None  # the additive noise profile
-
-    @property
-    def u_states(self) -> list:
-        """The velocity u at every snapshot, derived from ``v`` on access."""
-        return [
-            _reconstruct(state, self.mode, self.epsilon, z, self.phi)
-            for state, z in zip(self.v.states, self.z_at_samples)
-        ]
-
-
-def solve_transformed(
-    v0: SpectralVelocity, params: PhysicsParams, noise: NoiseConfig,
-    ou: OUPath, interval, h: float, *,
-    sample_every: int = SolverSettings.snapshot_every,
-    cfl_safety: float = SolverSettings.cfl_safety,
-    blowup_guard: float = SolverSettings.blowup_guard,
-) -> RandomTrajectory:
-    """Integrate the system transformed by ``noise.mode`` over ``interval``.
-
-    Additive noise is 2D only, multiplicative noise runs in 2D and 3D, and
-    mode ``none`` (epsilon = 0) runs the deterministic right-hand side.
-    """
-    SolverSettings.check(h=h)  # drive checks the rest
-    grid = v0.grid
-    params.validate_for_dim(grid.dim)
-    if params.darcy != 0.0:
-        raise ValidationError(
-            "physics.darcy: the transformed random systems are stated for darcy = 0"
-        )
-    if params.forcing is not None:
-        v0.same_grid(params.forcing)
-    if noise.phi is not None:
-        v0.same_grid(noise.phi)
-    t0, t1 = interval
-    n_steps = step_count(t1 - t0, h, f"interval [{t0}, {t1}]")
-    if noise.epsilon != 0.0:
-        if abs(ou.alpha - noise.ou_alpha) > 0:
-            raise ValidationError("ou path alpha differs from noise.ou_alpha")
-        ou.index(t1)  # domain check; drive reads from ou.index(t0)
-
-    traj = drive(
-        grid, v0.coeffs, params, noise, h, n_steps, ou=ou, t0=t0,
-        sample_every=sample_every, cfl_safety=cfl_safety, blowup_guard=blowup_guard,
-    )
-
-    eps = noise.epsilon
-    z_samples = [ou.value(ts) if eps != 0.0 else 0.0 for ts in traj.sample_times]
-    return RandomTrajectory(
-        v=traj, z_at_samples=z_samples, mode=noise.mode, epsilon=eps, phi=noise.phi
-    )
+    def path(self, t0: float, t1: float, h: float) -> OUPath:
+        """The OU path of ``seed`` and ``ou_alpha`` on the grid of steps ``h``
+        over [t0, t1].  The window also covers time 0, where the path is
+        anchored, so a value does not depend on the window it was read from."""
+        return ou_path(self.seed, self.ou_alpha, t_min=min(t0, -h), t_max=max(t1, 0.0), h_w=h)
 
 
 def _reconstruct(
@@ -204,28 +150,28 @@ def pullback_sample(
     """
     SolverSettings.check(h=h, t_pull=t_pull, pullback_tol=pullback_tol)
     n = step_count(t_pull, h, "solver.t_pull")
+    if validate and n < 2:
+        raise ValidationError(f"solver.t_pull: the halving check needs 2 steps of h = {h}, got {n}")
     mode = noise.mode if noise.mode != NONE else MULTIPLICATIVE
     if v0 is None:
         v0 = zero_velocity(grid)
     elif not v0.grid.compatible(grid):
         raise GridMismatchError("v0 lives on a different grid than grid")
 
-    def run(steps: int) -> RandomTrajectory:
-        ou = ou_path(noise.seed, noise.ou_alpha, t_min=-steps * h, t_max=0.0, h_w=h)
-        return solve_transformed(
-            v0, params, noise, ou, (-steps * h, 0.0), h,
+    def run(steps: int) -> SpectralVelocity:
+        return simulate(
+            v0, params, steps * h, h, noise=noise, t0=-steps * h,
             cfl_safety=cfl_safety, blowup_guard=blowup_guard,
-        )
+        ).final_state
 
-    traj = run(n)
-    state = traj.v.final_state
-    z0 = traj.z_at_samples[-1]
+    state = run(n)
+    z0 = 0.0 if noise.epsilon == 0.0 else noise.path(0.0, 0.0, h).value(0.0)
 
     converged = True
     gap = None
     if validate:
         half = run(n // 2)
-        gap = h_norm_kernel(grid, state.coeffs - half.v.final_state.coeffs)
+        gap = h_norm_kernel(grid, state.coeffs - half.coeffs)
         converged = gap <= pullback_tol
 
     return PullbackSample(

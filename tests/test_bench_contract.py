@@ -1,17 +1,23 @@
-"""The names the benchmark's tracer patches, and the step count it reads, stay put.
+"""The names the benchmark's tracer patches, the step count it reads and the
+calls its workloads make stay put.
 
 ``cbfbench/tracing.py`` wraps cbflab functions by name and reads the step
-count of every ``drive`` call from its sixth positional argument; deleting
-or renaming one of those would silently break the traced run.
+count of every ``drive`` call from its sixth positional argument, and
+``cbfbench/workloads.py`` calls cbflab by its public names; deleting or
+renaming one of those, or changing a signature those calls use, would
+silently break the benchmark.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 import cbflab.deterministic
 
-TRACING = Path(__file__).resolve().parents[1] / "cbfbench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "cbfbench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing():
@@ -31,3 +37,32 @@ def test_traced_targets_resolve():
 def test_drive_sixth_positional_parameter_is_n_steps():
     names = list(inspect.signature(cbflab.deterministic.drive).parameters)
     assert names[5] == "n_steps"
+
+
+def _cbflab_calls(tree):
+    """(dotted name, positional count, keyword names) of every ``cbflab.*(...)`` call."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id == "cbflab" and parts:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            assert not starred and all(k.arg for k in node.keywords), ast.unparse(node)
+            name = "cbflab." + ".".join(reversed(parts))
+            yield name, len(node.args), [k.arg for k in node.keywords]
+
+
+def test_workload_calls_bind_to_the_signatures():
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    calls = list(_cbflab_calls(tree))
+    assert {name for name, _, _ in calls} >= {"cbflab.simulate", "cbflab.pullback_sample"}
+    for name, n_args, keywords in calls:
+        module, attr = name.rsplit(".", 1)
+        target = getattr(importlib.import_module(module), attr)
+        try:
+            inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"{name} with {n_args} positional and {keywords}: {exc}")

@@ -360,6 +360,11 @@ pullback_tol = 10.0
 """
 
 
+#: ``simulate`` and ``singleton`` use no noise and reject every ``[noise]`` key.
+NOISELESS = SEEDED[: SEEDED.index("[noise]")] + SEEDED[SEEDED.index("[solver]"):]
+CONFIGS = {"simulate": NOISELESS, "singleton": NOISELESS}
+
+
 @pytest.mark.parametrize("subcommand,seeds", [
     ("check-conditions", []),
     ("simulate", []),
@@ -370,7 +375,7 @@ pullback_tol = 10.0
     ("ou-diagnostics", list(range(5, 1005))),
 ])
 def test_manifest_lists_the_seeds_drawn(tmp_path, subcommand, seeds):
-    cfg = write(tmp_path, "seeded.cfg", SEEDED)
+    cfg = write(tmp_path, "seeded.cfg", CONFIGS.get(subcommand, SEEDED))
     out = tmp_path / "o"
     assert main([subcommand, "--config", cfg, "--out", str(out), "--seed-offset", "2"]) == 0
     assert json.loads((out / "manifest.json").read_text())["seeds"] == seeds
@@ -386,11 +391,40 @@ def test_manifest_lists_the_seeds_drawn(tmp_path, subcommand, seeds):
 def test_keys_a_subcommand_would_drop_are_rejected(tmp_path, capsys, subcommand, key):
     section, name = key.split(".")
     value = {"initial": "random seed=1 hnorm=0.5 kmax=4", "snapshot_every": "10"}[name]
-    cfg = write(tmp_path, "c.cfg", SEEDED + f"\n[{section}]\n{name} = {value}\n")
+    base = CONFIGS.get(subcommand, SEEDED)
+    cfg = write(tmp_path, "c.cfg", base + f"\n[{section}]\n{name} = {value}\n")
     out = tmp_path / "o"
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and subcommand in err
+    assert not (out / "manifest.json").exists()
+
+
+#: Each [noise] key off its default, with whatever else makes the section valid.
+NOISE_SETTINGS = {
+    "mode": "mode = multiplicative",
+    "epsilon": "mode = multiplicative\nepsilon = 0.5",
+    "eps_grid": "eps_grid = 0.1,0.05,0.025",
+    "ou_alpha": "ou_alpha = 2.5",
+    "phi": "mode = additive\nphi = random seed=1 hnorm=1.0 kmax=4",
+    "seed": "seed = 9",
+    "n_samples": "n_samples = 3",
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand,name", [(sub, name) for sub in ("simulate", "singleton") for name in NOISE_SETTINGS]
+)
+def test_noise_keys_are_rejected_where_no_noise_runs(tmp_path, capsys, subcommand, name):
+    cfg = write(tmp_path, "c.cfg", NOISELESS + f"\n[noise]\n{NOISE_SETTINGS[name]}\n")
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (
+        f"error: noise.{name}: set, but {subcommand} does not use it; leave it at its default"
+        in err.splitlines()
+    )
     assert not (out / "manifest.json").exists()
 
 

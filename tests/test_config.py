@@ -12,11 +12,9 @@ from cbflab import (
     TorusGrid,
     ValidationError,
     find_singleton,
-    ou_path,
     pullback_sample,
     random_field,
     simulate,
-    solve_transformed,
     zero_velocity,
 )
 from cbflab.config import (
@@ -262,7 +260,6 @@ _G = TorusGrid(dim=2, N=16)
 _U0 = zero_velocity(_G)
 _P = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
 _NONE = NoiseConfig(mode="none")
-_OU = ou_path(1, 1.0, t_min=-0.02, t_max=0.0, h_w=0.01)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +279,7 @@ _OU = ou_path(1, 1.0, t_min=-0.02, t_max=0.0, h_w=0.01)
         ("[solver]\nT = nan", lambda: find_singleton(_P, _G, maxT=math.nan)),
         ("[solver]\ncfl_safety = nan", lambda: simulate(_U0, _P, 0.02, 0.01, cfl_safety=math.nan)),
         ("[solver]\ncfl_safety = 1.5",
-         lambda: solve_transformed(_U0, _P, _NONE, _OU, (-0.02, 0.0), 0.01, cfl_safety=1.5)),
+         lambda: simulate(_U0, _P, 0.02, 0.01, noise=_NONE, t0=-0.02, cfl_safety=1.5)),
         ("[solver]\nblowup_guard = -1",
          lambda: drive(_G, _U0.coeffs, _P, None, 0.01, 2, blowup_guard=-1.0)),
         ("[solver]\ntol = 0", lambda: find_singleton(_P, _G, tol=0.0, maxT=0.1)),
@@ -291,11 +288,34 @@ _OU = ou_path(1, 1.0, t_min=-0.02, t_max=0.0, h_w=0.01)
         ("[solver]\nn_probes = 1", lambda: find_singleton(_P, _G, maxT=0.1, n_probes=1)),
         ("[solver]\nt_pull = nan", lambda: pullback_sample(_P, _NONE, math.nan, 0.01, grid=_G)),
         ("[output]\nsnapshot_every = -1", lambda: simulate(_U0, _P, 0.02, 0.01, sample_every=-1)),
+        ("[grid]\nL = inf", lambda: TorusGrid(dim=2, N=16, L=math.inf)),
+        ("[grid]\ndealias_factor = inf", lambda: TorusGrid(dim=2, N=16, dealias_factor=math.inf)),
+        ("[physics]\nmu = inf", lambda: PhysicsParams(mu=math.inf, beta=1.0, r=3.0)),
+        ("[physics]\nbeta = inf", lambda: PhysicsParams(mu=1.0, beta=math.inf, r=3.0)),
+        ("[physics]\nr = inf", lambda: PhysicsParams(mu=1.0, beta=1.0, r=math.inf)),
+        ("[physics]\ndarcy = inf", lambda: PhysicsParams(mu=1.0, beta=1.0, r=3.0, darcy=math.inf)),
+        ("[noise]\nou_alpha = inf", lambda: NoiseConfig(mode="none", ou_alpha=math.inf)),
+        ("[constants]\nc1 = inf", lambda: EstimateConstants(c1=math.inf)),
+        ("[constants]\nc2 = inf", lambda: EstimateConstants(c2=math.inf)),
+        ("[constants]\nc3 = inf", lambda: EstimateConstants(c3=math.inf)),
+        ("[solver]\nh = inf", lambda: simulate(_U0, _P, 1.0, math.inf)),
+        ("[solver]\nT = inf", lambda: simulate(_U0, _P, math.inf, 0.01)),
+        ("[solver]\nt_pull = inf", lambda: pullback_sample(_P, _NONE, math.inf, 0.01, grid=_G)),
+        ("[solver]\ntol = inf", lambda: find_singleton(_P, _G, tol=math.inf, maxT=0.1)),
+        ("[solver]\npullback_tol = inf",
+         lambda: pullback_sample(
+             _P, _NONE, 0.02, 0.01, grid=_G, validate=True, pullback_tol=math.inf
+         )),
+        ("[solver]\nblowup_guard = inf",
+         lambda: drive(_G, _U0.coeffs, _P, None, 0.01, 2, blowup_guard=math.inf)),
     ],
     ids=[
         "grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2",
         "h-nan", "T-nan", "cfl-nan", "cfl-above-1", "guard-negative", "tol-zero",
         "pullback-tol-negative", "n-probes-1", "t-pull-nan", "snapshot-negative",
+        "L-inf", "dealias-inf", "mu-inf", "beta-inf", "r-inf", "darcy-inf", "ou-alpha-inf",
+        "c1-inf", "c2-inf", "c3-inf", "h-inf", "T-inf", "t-pull-inf", "tol-inf",
+        "pullback-tol-inf", "guard-inf",
     ],
 )
 def test_config_reports_the_domain_types_violations(lines, build):

@@ -15,12 +15,10 @@ from cbflab import (
     energy_residual,
     find_singleton,
     h_norm,
-    ou_path,
     probe_field,
     random_field,
     simulate,
     single_mode_field,
-    solve_transformed,
     zero_velocity,
 )
 from cbflab.operators import (
@@ -29,6 +27,7 @@ from cbflab.operators import (
     h_norm_kernel,
     stokes_kernel,
 )
+from cbflab.random_pde import _reconstruct
 
 
 def steady_residual(a, params):
@@ -264,18 +263,20 @@ def test_states_leaving_drive_are_hermitian(grid2d_small, grid3d):
     f = single_mode_field(grid2d_small, (1, 1), (1.0, -1.0), h_norm=0.1)
     p = PhysicsParams(mu=1.0, beta=1.0, r=3.0, forcing=f)
     u0 = probe_field(grid2d_small, 6)
-    z = ou_path(3, 1.0, -1.0, 0.5, 0.01)
     phi = random_field(grid2d_small, 42, kmax=4.0)
+    mult = NoiseConfig(mode="multiplicative", epsilon=0.3, seed=3)
+    z = mult.path(0.0, 0.5, 0.01)
+    mult_run = simulate(u0, p, 0.5, 0.01, noise=mult, sample_every=10)
     runs = [
         simulate(u0, p, T=0.5, h=0.01, sample_every=10).states,
-        solve_transformed(
-            u0, p, NoiseConfig(mode="additive", epsilon=0.3, phi=phi, seed=3),
-            z, (0.0, 0.5), 0.01, sample_every=10,
-        ).v.states,
-        solve_transformed(
-            u0, p, NoiseConfig(mode="multiplicative", epsilon=0.3, seed=3),
-            z, (0.0, 0.5), 0.01, sample_every=10,
-        ).u_states,
+        simulate(
+            u0, p, 0.5, 0.01, noise=NoiseConfig(mode="additive", epsilon=0.3, phi=phi, seed=3),
+            sample_every=10,
+        ).states,
+        [
+            _reconstruct(v, mult.mode, mult.epsilon, z.value(ts), None)
+            for ts, v in zip(mult_run.sample_times, mult_run.states)
+        ],
         simulate(
             probe_field(grid3d, 6), PhysicsParams(mu=1.0, beta=1.0, r=3.0),
             T=0.1, h=0.02, sample_every=2,

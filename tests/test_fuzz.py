@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cbflab import CBFError, ValidationError, read_field
 from cbflab.cli import main
-from cbflab.config import _SECTIONS, parse_config
+from cbflab.config import _FIELD_SPEC_KEYS, _SECTIONS, parse_config
 from cbflab.params import step_count
 
 VALID = """
@@ -46,6 +46,7 @@ c1 = 1.4142135623730951
 """
 
 KEYS = [(section, f.name) for section, cls in _SECTIONS.items() for f in dc_fields(cls)]
+SCALAR_KEYS = [(section, key) for section, key in KEYS if key not in _FIELD_SPEC_KEYS | {"mode"}]
 
 TOKENS = [
     "0", "-1", "1", "2", "3", "3.0", "5", "8", "16", "17", "64", "0.5", "1e-9",
@@ -157,6 +158,21 @@ def test_check_conditions_exit_codes(text):
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SCALAR_KEYS), st.sampled_from(["inf", "-inf", "nan"]))
+def test_non_finite_scalar_exits_2(key, value):
+    text = _mutate([("set", key, value)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check-conditions", "--config", path, "--out", os.path.join(tmp, "o")])
+    assert code == 2, f"{key} = {value}: {err.getvalue()}"
+    assert err.getvalue().startswith("error: ")
 
 
 @settings(max_examples=500, deadline=None)

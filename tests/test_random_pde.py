@@ -16,10 +16,10 @@ from cbflab import (
     random_field,
     simulate,
     single_mode_field,
-    solve_transformed,
     zero_velocity,
 )
 from cbflab.operators import h_norm_kernel
+from cbflab.random_pde import _reconstruct
 
 @pytest.fixture(scope="module")
 def setup2d():
@@ -47,6 +47,15 @@ def test_noise_config_validation(setup2d):
         NoiseConfig(mode="additive", epsilon=0.1, phi=wide)
 
 
+def test_noise_path_values_do_not_depend_on_the_window():
+    nz = NoiseConfig(mode="multiplicative", epsilon=0.1, ou_alpha=2.5, seed=4)
+    wide = ou_path(4, 2.5, -3.0, 2.0, 0.01)
+    for t0, t1 in ((0.0, 1.0), (-2.0, -0.75), (-0.5, 0.0), (0.5, 1.5)):
+        z = nz.path(t0, t1, 0.01)
+        for t in np.arange(t0, t1 + 0.005, 0.01):
+            assert z.value(t) == wide.value(t)
+
+
 def test_additive_rejected_in_3d(grid3d):
     phi3 = random_field(grid3d, 2, kmax=4.0)
     with pytest.raises(ValidationError):
@@ -57,9 +66,8 @@ def test_random_solvers_reject_darcy(setup2d):
     g, params, phi = setup2d
     p = PhysicsParams(mu=1.0, beta=1.0, r=3.0, darcy=0.1)
     nz = NoiseConfig(mode="multiplicative", epsilon=0.1, seed=1)
-    z = ou_path(1, 1.0, -1.0, 1.0, 0.01)
     with pytest.raises(ValidationError):
-        solve_transformed(probe_field(g, 1), p, nz, z, (0.0, 0.5), 0.01)
+        simulate(probe_field(g, 1), p, 0.5, 0.01, noise=nz)
 
 
 @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
@@ -68,25 +76,23 @@ def test_eps_zero_reduces_bitwise(setup2d, mode):
     u0 = probe_field(g, 11)
     h, T = 1e-2, 2.0
     det = simulate(u0, params, T=T, h=h)
-    z = ou_path(5, 1.0, -1.0, T, h)
     nz = NoiseConfig(
         mode=mode, epsilon=0.0, phi=phi if mode == "additive" else None,
         ou_alpha=1.0, seed=5,
     )
-    out = solve_transformed(u0, params, nz, z, (0.0, T), h)
-    assert out.v.final_state.coeffs.tobytes() == det.final_state.coeffs.tobytes()
+    out = simulate(u0, params, T, h, noise=nz)
+    assert out.final_state.coeffs.tobytes() == det.final_state.coeffs.tobytes()
 
 
 def test_additive_reconstruction_identity(setup2d):
     g, params, phi = setup2d
     u0 = probe_field(g, 12)
     h = 0.01
-    z = ou_path(6, 1.0, -1.0, 1.0, h)
     nz = NoiseConfig(mode="additive", epsilon=0.3, phi=phi, ou_alpha=1.0, seed=6)
-    out = solve_transformed(u0, params, nz, z, (0.0, 1.0), h, sample_every=25)
-    for ts, v_state, u_state in zip(
-        out.v.sample_times, out.v.states, out.u_states
-    ):
+    z = nz.path(0.0, 1.0, h)
+    out = simulate(u0, params, 1.0, h, noise=nz, sample_every=25)
+    for ts, v_state in zip(out.sample_times, out.states):
+        u_state = _reconstruct(v_state, nz.mode, nz.epsilon, z.value(ts), nz.phi)
         expected = v_state.coeffs + (0.3 * z.value(ts)) * phi.coeffs
         assert np.array_equal(u_state.coeffs, expected)
 
@@ -95,10 +101,11 @@ def test_multiplicative_reconstruction_identity(setup2d):
     g, params, phi = setup2d
     u0 = probe_field(g, 13)
     h = 0.01
-    z = ou_path(7, 1.0, -1.0, 1.0, h)
     nz = NoiseConfig(mode="multiplicative", epsilon=0.4, ou_alpha=1.0, seed=7)
-    out = solve_transformed(u0, params, nz, z, (0.0, 1.0), h, sample_every=50)
-    for ts, v_state, u_state in zip(out.v.sample_times, out.v.states, out.u_states):
+    z = nz.path(0.0, 1.0, h)
+    out = simulate(u0, params, 1.0, h, noise=nz, sample_every=50)
+    for ts, v_state in zip(out.sample_times, out.states):
+        u_state = _reconstruct(v_state, nz.mode, nz.epsilon, z.value(ts), nz.phi)
         expected = math.exp(0.4 * z.value(ts)) * v_state.coeffs
         assert np.array_equal(u_state.coeffs, expected)
 
@@ -108,10 +115,11 @@ def test_pullback_reconstruction_is_the_trajectory_velocity(setup2d, mode, eps):
     g, params, phi = setup2d
     nz = NoiseConfig(mode=mode, epsilon=eps, phi=phi if mode == "additive" else None, seed=3)
     s = pullback_sample(params, nz, 0.5, 0.01, grid=g)
-    z = ou_path(3, nz.ou_alpha, -0.5, 0.0, 0.01)
-    traj = solve_transformed(zero_velocity(g), params, nz, z, (-0.5, 0.0), 0.01)
-    assert s.state.coeffs.tobytes() == traj.v.final_state.coeffs.tobytes()
-    assert s.reconstructed.coeffs.tobytes() == traj.u_states[-1].coeffs.tobytes()
+    traj = simulate(zero_velocity(g), params, 0.5, 0.01, noise=nz, t0=-0.5)
+    z = nz.path(-0.5, 0.0, 0.01).value(traj.sample_times[-1])
+    u = _reconstruct(traj.final_state, nz.mode, nz.epsilon, z, nz.phi)
+    assert s.state.coeffs.tobytes() == traj.final_state.coeffs.tobytes()
+    assert s.reconstructed.coeffs.tobytes() == u.coeffs.tobytes()
 
 
 def test_additive_zero_profile_decays_like_deterministic():
@@ -120,12 +128,11 @@ def test_additive_zero_profile_decays_like_deterministic():
     params = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
     u0 = probe_field(g, 19)
     det = simulate(u0, params, T=1.0, h=0.01)
-    z = ou_path(2, 1.0, -1.0, 1.0, 0.01)
     nz = NoiseConfig(
         mode="additive", epsilon=0.5, phi=zero_velocity(g), ou_alpha=1.0, seed=2
     )
-    out = solve_transformed(u0, params, nz, z, (0.0, 1.0), 0.01)
-    gap = np.max(np.abs(out.v.final_state.coeffs - det.final_state.coeffs))
+    out = simulate(u0, params, 1.0, 0.01, noise=nz)
+    gap = np.max(np.abs(out.final_state.coeffs - det.final_state.coeffs))
     assert gap <= 1e-14
 
 
@@ -133,10 +140,9 @@ def test_multiplicative_zero_invariance():
     # f = 0, v0 = 0: the zero state is invariant along any path
     g = TorusGrid(dim=2, N=16)
     params = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
-    z = ou_path(8, 1.0, -1.0, 1.0, 0.01)
     nz = NoiseConfig(mode="multiplicative", epsilon=0.5, ou_alpha=1.0, seed=8)
-    out = solve_transformed(zero_velocity(g), params, nz, z, (0.0, 1.0), 0.01)
-    assert h_norm(out.v.final_state) == 0.0
+    out = simulate(zero_velocity(g), params, 1.0, 0.01, noise=nz)
+    assert h_norm(out.final_state) == 0.0
 
 
 def test_cocycle_consistency(setup2d):
@@ -144,22 +150,11 @@ def test_cocycle_consistency(setup2d):
     g, params, phi = setup2d
     h = 0.01
     nz = NoiseConfig(mode="multiplicative", epsilon=0.25, ou_alpha=1.0, seed=9)
-    z = ou_path(9, 1.0, -2.0, 0.0, h)
     v0 = probe_field(g, 14)
-    full = solve_transformed(v0, params, nz, z, (-2.0, 0.0), h)
-    first = solve_transformed(v0, params, nz, z, (-2.0, -0.75), h)
-    second = solve_transformed(
-        first.v.final_state, params, nz, z, (-0.75, 0.0), h
-    )
-    assert np.array_equal(full.v.final_state.coeffs, second.v.final_state.coeffs)
-
-
-def test_ou_domain_guard(setup2d):
-    g, params, phi = setup2d
-    nz = NoiseConfig(mode="multiplicative", epsilon=0.2, ou_alpha=1.0, seed=10)
-    z = ou_path(10, 1.0, -1.0, 0.0, 0.01)
-    with pytest.raises(ValidationError):
-        solve_transformed(probe_field(g, 1), params, nz, z, (-2.0, 0.0), 0.01)
+    full = simulate(v0, params, 2.0, h, noise=nz, t0=-2.0)
+    first = simulate(v0, params, 1.25, h, noise=nz, t0=-2.0)
+    second = simulate(first.final_state, params, 0.75, h, noise=nz, t0=-0.75)
+    assert np.array_equal(full.final_state.coeffs, second.final_state.coeffs)
 
 
 def test_pullback_deterministic_reduction(setup2d):
@@ -223,6 +218,8 @@ def test_pullback_horizon_is_whole_steps(setup2d):
     half = pullback_sample(params, nz, 0.03, 0.01, grid=g)
     assert s.doubling_gap == h_norm_kernel(g, s.state.coeffs - half.state.coeffs) > 0.0
     assert (s.seed, s.t_pull) == (nz.seed, 0.07)
+    with pytest.raises(ValidationError, match="solver.t_pull: the halving check needs 2 steps"):
+        pullback_sample(params, nz, 0.01, 0.01, grid=g, validate=True)
 
 
 def test_pullback_initial_state_on_its_grid(setup2d):
