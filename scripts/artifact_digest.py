@@ -3,7 +3,7 @@
 
 Usage: python scripts/artifact_digest.py OUT
 
-Runs 16 `cbflab` subcommands in-process, each into its own directory under
+Runs 17 `cbflab` subcommands in-process, each into its own directory under
 OUT, with the configs below: sweeps (multiplicative, a manifest-style
 multiplicative config with two seed offsets, additive at r = 1) and a
 `report --format svg` of the first; pullbacks (multiplicative with two seed

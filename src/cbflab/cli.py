@@ -11,7 +11,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields as dc_fields
+from dataclasses import asdict, astuple, fields as dc_fields
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .conditions import check_singleton_condition
 from .config import NoiseSection, RunConfig, build_field, parse_config, serialize_config
 from .deterministic import energy_residual, find_singleton, simulate
 from .errors import BlowUpError, CBFError, NonConvergenceError, ValidationError
-from .experiments import mean_inversions, rate_sweep
+from .experiments import SweepRecord, mean_inversions, rate_sweep
 from .fields import write_field, zero_velocity
 from .grid import TorusGrid
 from .ou import ou_from_wiener, ou_path, sample_wiener, stationary_moment
@@ -68,10 +68,7 @@ def _load_config_text(path: str) -> str:
 
 
 def _materialize(cfg: RunConfig):
-    grid = TorusGrid(
-        dim=cfg.grid.dim, N=cfg.grid.N, L=cfg.grid.L,
-        dealias_factor=cfg.grid.dealias_factor,
-    )
+    grid = TorusGrid(**asdict(cfg.grid))
     forcing = build_field(cfg.physics.forcing, grid, cfg.physics.forcing_h_norm)
     params = PhysicsParams(
         mu=cfg.physics.mu, beta=cfg.physics.beta, r=cfg.physics.r,
@@ -81,7 +78,7 @@ def _materialize(cfg: RunConfig):
 
 
 def _constants(cfg: RunConfig) -> EstimateConstants:
-    return EstimateConstants(c1=cfg.constants.c1, c2=cfg.constants.c2, c3=cfg.constants.c3)
+    return EstimateConstants(**asdict(cfg.constants))
 
 
 def _initial_state(cfg, grid):
@@ -99,18 +96,7 @@ def _cmd_check_conditions(cfg, out_dir, args):
     report = check_singleton_condition(params, grid, constants)
     print(report.summary())
     path = os.path.join(out_dir, "conditions.json")
-    write_json(path, {
-        "regime": report.regime,
-        "holds": report.holds,
-        "varrho": report.varrho,
-        "grashof": report.grashof,
-        "threshold": report.threshold,
-        "eta3": report.eta3,
-        "constants": {
-            "c1": constants.c1, "c2": constants.c2, "c3": constants.c3,
-            "label": constants.label,
-        },
-    })
+    write_json(path, asdict(report))
     return [path], EXIT_OK, []
 
 
@@ -185,10 +171,10 @@ def _cmd_pullback(cfg, out_dir, args):
 
     meta_path = os.path.join(out_dir, "pullback_sample.json")
     write_json(meta_path, {
-        "epsilon": sample.epsilon,
-        "seed": sample.seed,
+        "epsilon": noise.epsilon,
+        "seed": noise.seed,
         "t_pull": sample.t_pull,
-        "mode": sample.mode,
+        "mode": noise.mode,
         "h": cfg.solver.h,
         "norms": {"h": h_norm(sample.state), "v": v_norm(sample.state)},
         "converged": sample.converged,
@@ -219,33 +205,14 @@ def _cmd_sweep(cfg, out_dir, args):
     )
     rec_path = os.path.join(out_dir, "records.csv")
     write_csv(
-        rec_path,
-        ("epsilon", "seed", "mode", "r", "dist_h", "t_pull", "converged"),
-        (
-            (r.epsilon, r.seed, r.mode, r.r, r.dist_h, r.t_pull, r.converged)
-            for r in result.records
-        ),
+        rec_path, [f.name for f in dc_fields(SweepRecord)], map(astuple, result.records)
     )
-    fit_payload = {
-        "slope": result.fit.slope,
-        "intercept": result.fit.intercept,
-        "delta_theory": result.fit.delta_theory,
-        "eps_grid": result.fit.eps_grid,
-        "n_samples": result.fit.n_samples,
-        "residuals": result.fit.residuals,
-        "log_means": result.fit.log_means,
-        "log_spreads": result.fit.log_spreads,
-        "mean_inversions": mean_inversions(result.fit),
-    }
+    fit_payload = {**asdict(result.fit), "mean_inversions": mean_inversions(result.fit)}
     fit_path = os.path.join(out_dir, "fit.json")
     write_json(fit_path, fit_payload)
     artifacts = [rec_path, fit_path]
     if args.format == "svg":
-        svg_path = os.path.join(out_dir, "fit.svg")
-        recs = [{"epsilon": r.epsilon, "dist_h": r.dist_h} for r in result.records]
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg_rate_plot(fit_payload, recs))
-        artifacts.append(svg_path)
+        artifacts.append(_write_svg(out_dir, fit_payload, [asdict(r) for r in result.records]))
     print(
         f"fitted slope {result.fit.slope!r} "
         f"(theory {result.fit.delta_theory!r}) over {len(result.records)} records"
@@ -361,11 +328,16 @@ def _cmd_report(cfg_path, out_dir, args):
     if args.format == "svg":
         rec_csv = os.path.join(os.path.dirname(src), "records.csv")
         records = _read_records(rec_csv) if os.path.exists(rec_csv) else None
-        svg_path = os.path.join(out_dir, "fit.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg_rate_plot(fit_payload, records))
-        artifacts.append(svg_path)
+        artifacts.append(_write_svg(out_dir, fit_payload, records))
     return artifacts, EXIT_OK
+
+
+def _write_svg(out_dir, fit_payload, records) -> str:
+    """Write the rate plot of a fit and its records to ``fit.svg``; returns its path."""
+    path = os.path.join(out_dir, "fit.svg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(svg_rate_plot(fit_payload, records))
+    return path
 
 
 #: The config keys each subcommand has no use for; setting one is an error.
@@ -373,8 +345,8 @@ _NOISE_KEYS = tuple(f"noise.{f.name}" for f in dc_fields(NoiseSection))
 _UNUSED_KEYS = {
     "simulate": _NOISE_KEYS,
     "singleton": ("solver.initial", "output.snapshot_every", *_NOISE_KEYS),
-    "pullback": ("output.snapshot_every",),
-    "sweep": ("solver.initial", "output.snapshot_every"),
+    "pullback": ("output.snapshot_every", "noise.eps_grid", "noise.n_samples"),
+    "sweep": ("solver.initial", "output.snapshot_every", "noise.epsilon"),
 }
 
 

@@ -133,7 +133,6 @@ def check_singleton_condition(
 
     mu, lam1 = params.mu, grid.lambda1
     f_h = forcing_h_norm(params)
-    g = f_h / (mu**2 * lam1)
     eta = None
 
     if regime.startswith("2D"):
@@ -166,7 +165,7 @@ def check_singleton_condition(
     rho = float(rho)
     return ConditionReport(
         regime=regime,
-        grashof=float(g),
+        grashof=float(grashof(params, grid)),
         threshold=float(thr),
         varrho=rho,
         holds=rho > 0.0,

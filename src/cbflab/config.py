@@ -26,7 +26,9 @@ from .fields import (
     SpectralVelocity, random_field, read_field, rescale_to_h, single_mode_field,
 )
 from .grid import TorusGrid
-from .params import NONE, EstimateConstants, PhysicsParams, SolverSettings
+from .params import (
+    NONE, EstimateConstants, PhysicsParams, SolverSettings, random_darcy_violations,
+)
 from .random_pde import NoiseConfig
 
 
@@ -319,8 +321,7 @@ def validate_config(cfg: RunConfig) -> list:
                     )
     if ph.forcing_h_norm is not None and isinstance(ph.forcing, NoneSpec):
         p.append("physics.forcing_h_norm: set, but forcing = none has no norm to rescale")
-    if nz.mode != NONE and ph.darcy != 0.0:
-        p.append("physics.darcy: random dynamics require darcy = 0")
+    p += random_darcy_violations(nz.mode, ph.darcy)
     if not (1 <= nz.n_samples <= MAX_SAMPLES):
         p.append(f"noise.n_samples: must lie in [1, {MAX_SAMPLES}], got {nz.n_samples}")
     p += SolverSettings.violations(

@@ -27,7 +27,8 @@ from .fields import SpectralVelocity, random_field
 from .grid import TorusGrid
 from .operators import h_norm_kernel, lr_norm_kernel, nonlinear_kernel, stokes_kernel
 from .params import (
-    ADDITIVE, MULTIPLICATIVE, EstimateConstants, PhysicsParams, SolverSettings, step_count,
+    ADDITIVE, MULTIPLICATIVE, EstimateConstants, PhysicsParams, SolverSettings,
+    random_darcy_violations, step_count,
 )
 
 logger = logging.getLogger(__name__)
@@ -119,7 +120,6 @@ def drive(
     h: float,
     n_steps: int,
     *,
-    ou=None,
     t0: float = 0.0,
     sample_every: int = SolverSettings.snapshot_every,
     record_lr: bool = False,
@@ -131,19 +131,20 @@ def drive(
     Integrates the deterministic system (``noise=None``) or the one that
     the ``random_pde.NoiseConfig`` ``noise`` transforms, with the physics
     ``params``; a noise with epsilon != 0 reads its OU values from the path
-    ``ou``, starting at index ``ou.index(t0)``.  ``u0_coeffs`` is full-layout
-    and the loop runs on its half-layout copy.  The tendency is evaluated at
-    the step's left endpoint for both stages, so any time dependence is
-    treated as frozen within a step.  ``record_lr`` records the L^{r+1} norm
-    at ``params.r``.  Returns a Trajectory whose states (full layout, mirror
-    rebuilt once per snapshot) hold the initial state, every
-    ``sample_every``-th step and the final state.
+    ``noise.path`` draws on this run's steps, from index ``t0 / h`` on.
+    ``u0_coeffs`` is full-layout and the loop runs on its half-layout copy.
+    The tendency is evaluated at the step's left endpoint for both stages, so
+    any time dependence is treated as frozen within a step.  ``record_lr``
+    records the L^{r+1} norm at ``params.r``.  Returns a Trajectory whose
+    states (full layout, mirror rebuilt once per snapshot) hold the initial
+    state, every ``sample_every``-th step and the final state.
     """
     SolverSettings.check(
         h=h, snapshot_every=sample_every, cfl_safety=cfl_safety, blowup_guard=blowup_guard
     )
     if n_steps < 1:
         raise ValidationError(f"horizon: need at least one step of h = {h}, got {n_steps}")
+    ou = None if noise is None or noise.epsilon == 0.0 else noise.path(t0, t0 + n_steps * h, h)
     f_half = None if params.forcing is None else grid.to_half(params.forcing.coeffs)
     rhs = _tendency(grid, params, noise, ou, t0, f_half)
     ex = integrating_factor(grid, params.mu, h)
@@ -237,16 +238,12 @@ def simulate(
     if params.forcing is not None:
         u0.same_grid(params.forcing)
     n_steps = step_count(T, h, "solver.T")
-    ou = None
     if noise is not None:
-        if params.darcy != 0.0:
-            raise ValidationError(
-                "physics.darcy: the transformed random systems are stated for darcy = 0"
-            )
+        problems = random_darcy_violations(noise.mode, params.darcy)
+        if problems:
+            raise ValidationError(problems)
         if noise.phi is not None:
             u0.same_grid(noise.phi)
-        if noise.epsilon != 0.0:
-            ou = noise.path(t0, t0 + T, h)
     return drive(
         grid,
         u0.coeffs,
@@ -254,7 +251,6 @@ def simulate(
         noise,
         h,
         n_steps,
-        ou=ou,
         t0=t0,
         sample_every=sample_every,
         record_lr=record_lr,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import check_singleton_condition
-from .deterministic import SingletonResult, find_singleton, probe_field, simulate
+from .deterministic import find_singleton, probe_field, simulate
 from .errors import NonConvergenceError, ValidationError
 from .fields import SpectralVelocity
 from .grid import TorusGrid
@@ -135,9 +135,6 @@ def mean_inversions(fit: RateFit) -> int:
 class SweepResult:
     records: list
     fit: RateFit
-    a_star: SpectralVelocity
-    singleton: SingletonResult
-    t_pull: float
 
     @property
     def seeds(self) -> list:  # the noise seeds drawn, in order
@@ -226,9 +223,7 @@ def rate_sweep(
                 )
             )
     fit = fit_rate(records, mode, params.r)
-    return SweepResult(
-        records=records, fit=fit, a_star=a_star, singleton=singleton, t_pull=t_pull
-    )
+    return SweepResult(records=records, fit=fit)
 
 
 @dataclass

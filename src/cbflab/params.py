@@ -20,6 +20,14 @@ MULTIPLICATIVE = "multiplicative"
 NONE = "none"
 
 
+def random_darcy_violations(mode: str, darcy: float) -> list:
+    """The Darcy rule of the noise ``mode``: the transformed random systems
+    are stated for darcy = 0, and mode none runs the deterministic one."""
+    if mode != NONE and darcy != 0.0:
+        return ["physics.darcy: the transformed random systems are stated for darcy = 0"]
+    return []
+
+
 def step_count(t: float, h: float, what: str) -> int:
     """The number of steps ``h`` in the time ``t``; raises unless ``h`` is
     positive and finite and ``t`` a whole multiple of it to 1e-9 relative.

@@ -94,14 +94,13 @@ class NoiseConfig:
         return ou_path(self.seed, self.ou_alpha, t_min=min(t0, -h), t_max=max(t1, 0.0), h_w=h)
 
 
-def _reconstruct(
-    v: SpectralVelocity, mode: str, eps: float, z: float, phi: SpectralVelocity | None
-) -> SpectralVelocity:
+def _reconstruct(v: SpectralVelocity, noise: NoiseConfig, z: float) -> SpectralVelocity:
     """The velocity u of a transformed state v at OU value z: v + eps z Phi or e^{eps z} v."""
+    eps = noise.epsilon
     if eps == 0.0:
         return v
-    if mode == ADDITIVE:
-        return SpectralVelocity(v.grid, v.coeffs + (eps * z) * phi.coeffs)
+    if noise.mode == ADDITIVE:
+        return SpectralVelocity(v.grid, v.coeffs + (eps * z) * noise.phi.coeffs)
     return SpectralVelocity(v.grid, math.exp(eps * z) * v.coeffs)
 
 
@@ -110,19 +109,16 @@ class PullbackSample:
     """Time-zero state of a pullback run: the attractor-sample approximation."""
 
     state: SpectralVelocity        # transformed variable v at time 0
+    noise: NoiseConfig             # the noise it ran along
     t_pull: float
-    seed: int
-    epsilon: float
-    mode: str
     converged: bool
     doubling_gap: float | None
     z_at_zero: float
-    phi: SpectralVelocity | None = None  # the additive noise profile
 
     @property
     def reconstructed(self) -> SpectralVelocity:
         """u = v + eps z Phi or e^{eps z} v at time 0, derived from ``state`` on access."""
-        return _reconstruct(self.state, self.mode, self.epsilon, self.z_at_zero, self.phi)
+        return _reconstruct(self.state, self.noise, self.z_at_zero)
 
 
 def pullback_sample(
@@ -152,7 +148,6 @@ def pullback_sample(
     n = step_count(t_pull, h, "solver.t_pull")
     if validate and n < 2:
         raise ValidationError(f"solver.t_pull: the halving check needs 2 steps of h = {h}, got {n}")
-    mode = noise.mode if noise.mode != NONE else MULTIPLICATIVE
     if v0 is None:
         v0 = zero_velocity(grid)
     elif not v0.grid.compatible(grid):
@@ -176,12 +171,9 @@ def pullback_sample(
 
     return PullbackSample(
         state=state,
+        noise=noise,
         t_pull=t_pull,
-        seed=noise.seed,
-        epsilon=noise.epsilon,
-        mode=mode,
         converged=converged,
         doubling_gap=gap,
         z_at_zero=z0,
-        phi=noise.phi,
     )

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -66,12 +67,7 @@ def write_manifest(out_dir, subcommand, config_text, constants, seeds, artifacts
     payload = {
         "subcommand": subcommand,
         "config_text": config_text,
-        "constants": {
-            "c1": constants.c1,
-            "c2": constants.c2,
-            "c3": constants.c3,
-            "label": constants.label,
-        },
+        "constants": asdict(constants),
         "seeds": list(seeds),
         "artifacts": {
             os.path.basename(p): sha256_of(p) for p in artifacts

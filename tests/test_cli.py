@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import cbflab
 from cbflab.cli import main
+from cbflab.conditions import ConditionReport
+from cbflab.experiments import RateFit, SweepRecord
 
 BASE = """
 [grid]
@@ -54,7 +57,8 @@ def test_check_conditions_zero_forcing(tmp_path, capsys):
     assert code == 0
     assert "holds: true" in out
     assert "varrho = 1.0" in out
-    assert (tmp_path / "out" / "conditions.json").exists()
+    report = json.loads((tmp_path / "out" / "conditions.json").read_text())
+    assert set(report) == {f.name for f in fields(ConditionReport)}
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
@@ -101,9 +105,11 @@ def test_sweep_record_count_contract(tmp_path):
     assert code == 0
     lines = (out / "records.csv").read_text().strip().splitlines()
     assert lines[0] == "epsilon,seed,mode,r,dist_h,t_pull,converged"
+    assert lines[0].split(",") == [f.name for f in fields(SweepRecord)]
     assert len(lines) == 1 + 3 * 2  # 3 epsilon levels x 2 seeds
     fit = json.loads((out / "fit.json").read_text())
     assert set(fit) >= {"slope", "intercept", "delta_theory", "eps_grid", "n_samples", "residuals"}
+    assert set(fit) == {f.name for f in fields(RateFit)} | {"mean_inversions"}
     assert (out / "fit.svg").read_text().startswith("<svg")
 
 
@@ -137,16 +143,19 @@ def test_report_renders_summary(tmp_path, capsys):
 
 
 def test_pullback_subcommand(tmp_path):
-    cfg = write(
-        tmp_path, "p.cfg",
-        BASE + "\n[noise]\nmode = multiplicative\nepsilon = 0.1\nou_alpha = 2.5\nseed = 1\n"
-        "\n[solver]\nh = 0.02\nt_pull = 10.0\npullback_tol = 0.05\n",
-    )
-    out = tmp_path / "pb"
-    assert main(["pullback", "--config", cfg, "--out", str(out)]) == 0
-    meta = json.loads((out / "pullback_sample.json").read_text())
-    assert meta["epsilon"] == 0.1
-    assert meta["converged"] is True
+    # the sidecar labels a run with the config's mode, none included
+    for mode, eps in (("multiplicative", 0.1), ("none", 0.0)):
+        cfg = write(
+            tmp_path, f"{mode}.cfg",
+            BASE + f"\n[noise]\nmode = {mode}\nepsilon = {eps}\nou_alpha = 2.5\nseed = 1\n"
+            "\n[solver]\nh = 0.02\nt_pull = 10.0\npullback_tol = 0.05\n",
+        )
+        out = tmp_path / mode
+        assert main(["pullback", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "pullback_sample.json").read_text())
+        assert meta["epsilon"] == eps
+        assert meta["mode"] == mode
+        assert meta["converged"] is True
 
 
 def test_ou_diagnostics(tmp_path, capsys):
@@ -360,9 +369,15 @@ pullback_tol = 10.0
 """
 
 
-#: ``simulate`` and ``singleton`` use no noise and reject every ``[noise]`` key.
+#: ``simulate`` and ``singleton`` use no noise and reject every ``[noise]`` key;
+#: ``pullback`` rejects ``eps_grid`` and ``n_samples``, and ``sweep`` rejects ``epsilon``.
 NOISELESS = SEEDED[: SEEDED.index("[noise]")] + SEEDED[SEEDED.index("[solver]"):]
-CONFIGS = {"simulate": NOISELESS, "singleton": NOISELESS}
+CONFIGS = {
+    "simulate": NOISELESS,
+    "singleton": NOISELESS,
+    "pullback": SEEDED.replace("eps_grid = 0.1,0.05,0.025\n", "").replace("n_samples = 3\n", ""),
+    "sweep": SEEDED.replace("epsilon = 0.1\n", ""),
+}
 
 
 @pytest.mark.parametrize("subcommand,seeds", [
@@ -387,10 +402,19 @@ def test_manifest_lists_the_seeds_drawn(tmp_path, subcommand, seeds):
     ("singleton", "output.snapshot_every"),
     ("pullback", "output.snapshot_every"),
     ("sweep", "output.snapshot_every"),
+    ("pullback", "noise.eps_grid"),
+    ("pullback", "noise.n_samples"),
+    ("sweep", "noise.epsilon"),
 ])
 def test_keys_a_subcommand_would_drop_are_rejected(tmp_path, capsys, subcommand, key):
     section, name = key.split(".")
-    value = {"initial": "random seed=1 hnorm=0.5 kmax=4", "snapshot_every": "10"}[name]
+    value = {
+        "initial": "random seed=1 hnorm=0.5 kmax=4",
+        "snapshot_every": "10",
+        "eps_grid": "0.1,0.05,0.025",
+        "n_samples": "3",
+        "epsilon": "0.1",
+    }[name]
     base = CONFIGS.get(subcommand, SEEDED)
     cfg = write(tmp_path, "c.cfg", base + f"\n[{section}]\n{name} = {value}\n")
     out = tmp_path / "o"

@@ -294,6 +294,11 @@ _NONE = NoiseConfig(mode="none")
         ("[physics]\nbeta = inf", lambda: PhysicsParams(mu=1.0, beta=math.inf, r=3.0)),
         ("[physics]\nr = inf", lambda: PhysicsParams(mu=1.0, beta=1.0, r=math.inf)),
         ("[physics]\ndarcy = inf", lambda: PhysicsParams(mu=1.0, beta=1.0, r=3.0, darcy=math.inf)),
+        ("[noise]\nmode = multiplicative\n[physics]\ndarcy = 0.5",
+         lambda: simulate(
+             _U0, PhysicsParams(mu=1.0, beta=1.0, r=3.0, darcy=0.5), 0.02, 0.01,
+             noise=NoiseConfig(mode="multiplicative", epsilon=0.1),
+         )),
         ("[noise]\nou_alpha = inf", lambda: NoiseConfig(mode="none", ou_alpha=math.inf)),
         ("[constants]\nc1 = inf", lambda: EstimateConstants(c1=math.inf)),
         ("[constants]\nc2 = inf", lambda: EstimateConstants(c2=math.inf)),
@@ -313,7 +318,8 @@ _NONE = NoiseConfig(mode="none")
         "grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2",
         "h-nan", "T-nan", "cfl-nan", "cfl-above-1", "guard-negative", "tol-zero",
         "pullback-tol-negative", "n-probes-1", "t-pull-nan", "snapshot-negative",
-        "L-inf", "dealias-inf", "mu-inf", "beta-inf", "r-inf", "darcy-inf", "ou-alpha-inf",
+        "L-inf", "dealias-inf", "mu-inf", "beta-inf", "r-inf", "darcy-inf", "darcy-noise",
+        "ou-alpha-inf",
         "c1-inf", "c2-inf", "c3-inf", "h-inf", "T-inf", "t-pull-inf", "tol-inf",
         "pullback-tol-inf", "guard-inf",
     ],

@@ -274,7 +274,7 @@ def test_states_leaving_drive_are_hermitian(grid2d_small, grid3d):
             sample_every=10,
         ).states,
         [
-            _reconstruct(v, mult.mode, mult.epsilon, z.value(ts), None)
+            _reconstruct(v, mult, z.value(ts))
             for ts, v in zip(mult_run.sample_times, mult_run.states)
         ],
         simulate(

@@ -66,8 +66,12 @@ def test_random_solvers_reject_darcy(setup2d):
     g, params, phi = setup2d
     p = PhysicsParams(mu=1.0, beta=1.0, r=3.0, darcy=0.1)
     nz = NoiseConfig(mode="multiplicative", epsilon=0.1, seed=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="stated for darcy = 0"):
         simulate(probe_field(g, 1), p, 0.5, 0.01, noise=nz)
+    # mode none transforms nothing: it runs the deterministic system, Darcy term included
+    none = simulate(probe_field(g, 1), p, 0.5, 0.01, noise=NoiseConfig(mode="none"))
+    det = simulate(probe_field(g, 1), p, 0.5, 0.01)
+    assert none.final_state.coeffs.tobytes() == det.final_state.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
@@ -92,7 +96,7 @@ def test_additive_reconstruction_identity(setup2d):
     z = nz.path(0.0, 1.0, h)
     out = simulate(u0, params, 1.0, h, noise=nz, sample_every=25)
     for ts, v_state in zip(out.sample_times, out.states):
-        u_state = _reconstruct(v_state, nz.mode, nz.epsilon, z.value(ts), nz.phi)
+        u_state = _reconstruct(v_state, nz, z.value(ts))
         expected = v_state.coeffs + (0.3 * z.value(ts)) * phi.coeffs
         assert np.array_equal(u_state.coeffs, expected)
 
@@ -105,7 +109,7 @@ def test_multiplicative_reconstruction_identity(setup2d):
     z = nz.path(0.0, 1.0, h)
     out = simulate(u0, params, 1.0, h, noise=nz, sample_every=50)
     for ts, v_state in zip(out.sample_times, out.states):
-        u_state = _reconstruct(v_state, nz.mode, nz.epsilon, z.value(ts), nz.phi)
+        u_state = _reconstruct(v_state, nz, z.value(ts))
         expected = math.exp(0.4 * z.value(ts)) * v_state.coeffs
         assert np.array_equal(u_state.coeffs, expected)
 
@@ -117,7 +121,7 @@ def test_pullback_reconstruction_is_the_trajectory_velocity(setup2d, mode, eps):
     s = pullback_sample(params, nz, 0.5, 0.01, grid=g)
     traj = simulate(zero_velocity(g), params, 0.5, 0.01, noise=nz, t0=-0.5)
     z = nz.path(-0.5, 0.0, 0.01).value(traj.sample_times[-1])
-    u = _reconstruct(traj.final_state, nz.mode, nz.epsilon, z, nz.phi)
+    u = _reconstruct(traj.final_state, nz, z)
     assert s.state.coeffs.tobytes() == traj.final_state.coeffs.tobytes()
     assert s.reconstructed.coeffs.tobytes() == u.coeffs.tobytes()
 
@@ -217,7 +221,7 @@ def test_pullback_horizon_is_whole_steps(setup2d):
     s = pullback_sample(params, nz, 0.07, 0.01, grid=g, validate=True)
     half = pullback_sample(params, nz, 0.03, 0.01, grid=g)
     assert s.doubling_gap == h_norm_kernel(g, s.state.coeffs - half.state.coeffs) > 0.0
-    assert (s.seed, s.t_pull) == (nz.seed, 0.07)
+    assert (s.noise.seed, s.t_pull) == (nz.seed, 0.07)
     with pytest.raises(ValidationError, match="solver.t_pull: the halving check needs 2 steps"):
         pullback_sample(params, nz, 0.01, 0.01, grid=g, validate=True)
 
