@@ -125,6 +125,12 @@ initial = random seed=2 hnorm=0.5 kmax={kmax}
 snapshot_every = 10
 """
 
+OU = """
+[noise]
+ou_alpha = 2.5
+seed = 3
+"""
+
 #: (run name, subcommand, config text or None for report, extra arguments)
 RUNS = (
     ("sweep", "sweep", SWEEP.format(seed=0, t_pull=8.0), []),
@@ -145,8 +151,7 @@ RUNS = (
     ("simulate-2d", "simulate", SIMULATE.format(base=BASE, kmax=4), []),
     ("simulate-3d", "simulate", SIMULATE.format(base=BASE_3D, kmax=2), []),
     ("check-conditions", "check-conditions", BASE, []),
-    ("ou-diagnostics", "ou-diagnostics",
-     PULLBACK.format(mode="multiplicative", eps=0.1, phi=""), ["--seed-offset", "2"]),
+    ("ou-diagnostics", "ou-diagnostics", OU, []),
 )
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, fields as dc_fields
 import numpy as np
 
 from .conditions import check_singleton_condition
-from .config import NoiseSection, RunConfig, build_field, parse_config, serialize_config
+from .config import RunConfig, build_field, parse_config, serialize_config
 from .deterministic import energy_residual, find_singleton, simulate
 from .errors import BlowUpError, CBFError, NonConvergenceError, ValidationError
 from .experiments import SweepRecord, mean_inversions, rate_sweep
@@ -56,6 +56,8 @@ def _load_config_text(path: str) -> str:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc})") from exc
     if text.lstrip().startswith("{"):
         try:
             manifest = json.loads(text)
@@ -74,7 +76,7 @@ def _materialize(cfg: RunConfig):
         mu=cfg.physics.mu, beta=cfg.physics.beta, r=cfg.physics.r,
         darcy=cfg.physics.darcy, forcing=forcing,
     )
-    return grid, params, _constants(cfg)
+    return grid, params
 
 
 def _constants(cfg: RunConfig) -> EstimateConstants:
@@ -92,8 +94,8 @@ def _initial_state(cfg, grid):
 # ---------------------------------------------------------------------------
 
 def _cmd_check_conditions(cfg, out_dir, args):
-    grid, params, constants = _materialize(cfg)
-    report = check_singleton_condition(params, grid, constants)
+    grid, params = _materialize(cfg)
+    report = check_singleton_condition(params, grid, _constants(cfg))
     print(report.summary())
     path = os.path.join(out_dir, "conditions.json")
     write_json(path, asdict(report))
@@ -101,7 +103,7 @@ def _cmd_check_conditions(cfg, out_dir, args):
 
 
 def _cmd_simulate(cfg, out_dir, args):
-    grid, params, _ = _materialize(cfg)
+    grid, params = _materialize(cfg)
     u0 = _initial_state(cfg, grid)
     snap = cfg.output.snapshot_every
     traj = simulate(
@@ -126,10 +128,10 @@ def _cmd_simulate(cfg, out_dir, args):
 
 
 def _cmd_singleton(cfg, out_dir, args):
-    grid, params, constants = _materialize(cfg)
+    grid, params = _materialize(cfg)
     result = find_singleton(
         params, grid, tol=cfg.solver.tol, maxT=cfg.solver.T,
-        n_probes=cfg.solver.n_probes, h=cfg.solver.h, constants=constants,
+        n_probes=cfg.solver.n_probes, h=cfg.solver.h, constants=_constants(cfg),
         cfl_safety=cfg.solver.cfl_safety, blowup_guard=cfg.solver.blowup_guard,
     )
     log_path = os.path.join(out_dir, "contraction_log.csv")
@@ -153,7 +155,7 @@ def _cmd_singleton(cfg, out_dir, args):
 
 
 def _cmd_pullback(cfg, out_dir, args):
-    grid, params, _ = _materialize(cfg)
+    grid, params = _materialize(cfg)
     noise = NoiseConfig(
         mode=cfg.noise.mode, epsilon=cfg.noise.epsilon,
         phi=build_field(cfg.noise.phi, grid), ou_alpha=cfg.noise.ou_alpha,
@@ -188,7 +190,7 @@ def _cmd_pullback(cfg, out_dir, args):
 
 
 def _cmd_sweep(cfg, out_dir, args):
-    grid, params, constants = _materialize(cfg)
+    grid, params = _materialize(cfg)
     eps_grid = cfg.noise.eps_grid
     if not eps_grid:
         raise ValidationError("noise.eps_grid: sweep requires an epsilon grid")
@@ -200,7 +202,7 @@ def _cmd_sweep(cfg, out_dir, args):
         base_seed=cfg.noise.seed + args.seed_offset,
         pullback_tol=cfg.solver.pullback_tol, singleton_tol=cfg.solver.tol,
         singleton_maxT=cfg.solver.T, n_probes=cfg.solver.n_probes,
-        constants=constants,
+        constants=_constants(cfg),
         cfl_safety=cfg.solver.cfl_safety, blowup_guard=cfg.solver.blowup_guard,
     )
     rec_path = os.path.join(out_dir, "records.csv")
@@ -271,6 +273,8 @@ def _read_fit(path) -> dict:
             fit = json.load(fh)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValidationError(f"{path}: not a fit JSON file ({exc})") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc})") from exc
     if not isinstance(fit, dict):
         raise ValidationError(f"{path}: not a fit JSON object")
     problems = [
@@ -301,6 +305,8 @@ def _read_records(path) -> list:
                 records.append({key: float(row[key]) for key in ("epsilon", "dist_h")})
     except (KeyError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
         raise ValidationError(f"{path}: need numeric epsilon and dist_h columns ({exc!r})") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc})") from exc
     if not all(rec["epsilon"] > 0 for rec in records):
         raise ValidationError(f"{path}: epsilon entries must be positive")
     return records
@@ -340,49 +346,86 @@ def _write_svg(out_dir, fit_payload, records) -> str:
     return path
 
 
-#: The config keys each subcommand has no use for; setting one is an error.
-_NOISE_KEYS = tuple(f"noise.{f.name}" for f in dc_fields(NoiseSection))
-_UNUSED_KEYS = {
-    "simulate": _NOISE_KEYS,
-    "singleton": ("solver.initial", "output.snapshot_every", *_NOISE_KEYS),
-    "pullback": ("output.snapshot_every", "noise.eps_grid", "noise.n_samples"),
-    "sweep": ("solver.initial", "output.snapshot_every", "noise.epsilon"),
-}
+#: The options a run takes besides --config and --out, with their defaults.
+_OPTIONS = {"--seed-offset": 0, "--format": "csv"}
 
 
-def _unused_key_violations(cfg: RunConfig, subcommand: str) -> list:
-    """A violation for every key ``subcommand`` would drop that ``cfg`` moves off its default."""
-    default = RunConfig()
-    return [
-        f"{key}: set, but {subcommand} does not use it; leave it at its default"
-        for key in _UNUSED_KEYS.get(subcommand, ())
-        for section, name in [key.split(".")]
-        if getattr(getattr(cfg, section), name) != getattr(getattr(default, section), name)
-    ]
+def _keys(section: str, names: str) -> tuple:
+    return tuple(f"{section}.{name}" for name in names.split())
 
 
-#: The subcommands that run a config, in the order ``--help`` lists them.
+#: Each subcommand, in the order ``--help`` lists them, with the inputs it
+#: reads: whole config sections by name, single keys as ``section.key`` and
+#: options as ``--option``.  An input counts as read when its value reaches
+#: what the run computes; the manifest's copy of the config does not count.
+#: Every other input must stay at its default (see ``_unread_inputs``).
 _COMMANDS = {
-    "check-conditions": _cmd_check_conditions,
-    "simulate": _cmd_simulate,
-    "singleton": _cmd_singleton,
-    "pullback": _cmd_pullback,
-    "sweep": _cmd_sweep,
-    "ou-diagnostics": _cmd_ou_diagnostics,
+    "check-conditions": (_cmd_check_conditions, ("grid", "physics", "constants")),
+    "simulate": (_cmd_simulate, (
+        "grid", "physics", *_keys("solver", "h T cfl_safety blowup_guard initial"), "output",
+    )),
+    "singleton": (_cmd_singleton, (
+        "grid", "physics", "constants",
+        *_keys("solver", "h T tol n_probes cfl_safety blowup_guard"),
+    )),
+    "pullback": (_cmd_pullback, (
+        "grid", "physics", *_keys("noise", "mode epsilon phi ou_alpha seed"),
+        *_keys("solver", "h t_pull pullback_tol cfl_safety blowup_guard initial"),
+        "--seed-offset",
+    )),
+    "sweep": (_cmd_sweep, (
+        "grid", "physics", "constants",
+        *_keys("noise", "mode eps_grid phi ou_alpha seed n_samples"),
+        *_keys("solver", "h T t_pull tol pullback_tol n_probes cfl_safety blowup_guard"),
+        "--seed-offset", "--format",
+    )),
+    "ou-diagnostics": (_cmd_ou_diagnostics, _keys("noise", "ou_alpha seed n_samples")),
+    "report": (_cmd_report, ("--format",)),
 }
+
+
+def _inputs(cfg: RunConfig | None, options: dict) -> dict:
+    """Every key of ``cfg`` as ``section.key`` (none without a config), then ``options``."""
+    keys = {} if cfg is None else {
+        f"{section.name}.{key.name}": getattr(values, key.name)
+        for section in dc_fields(cfg)
+        for values in [getattr(cfg, section.name)]
+        for key in dc_fields(values)
+    }
+    return {**keys, **options}
+
+
+def _reads(subcommand: str) -> set:
+    """The config keys and options ``subcommand`` reads, its whole sections spelled out."""
+    entry = _COMMANDS[subcommand][1]
+    return {
+        name for name in _inputs(RunConfig(), _OPTIONS)
+        if name in entry or name.split(".")[0] in entry
+    }
+
+
+def _unread_inputs(subcommand: str, cfg: RunConfig | None, args) -> list:
+    """A violation for every input off its default that ``subcommand`` does not read."""
+    options = {opt: getattr(args, opt[2:].replace("-", "_")) for opt in _OPTIONS}
+    default, reads = _inputs(RunConfig(), _OPTIONS), _reads(subcommand)
+    return [
+        f"{name}: set, but {subcommand} does not use it; leave it at its default"
+        for name, value in _inputs(cfg, options).items()
+        if name not in reads and value != default[name]
+    ]
 
 
 def run(subcommand: str, config_path: str, out_dir: str, args) -> int:
     """Dispatch a subcommand; returns the process exit code."""
+    command = _COMMANDS[subcommand][0]
+    cfg = None if subcommand == "report" else parse_config(_load_config_text(config_path))
+    unread = _unread_inputs(subcommand, cfg, args)
+    if unread:
+        raise ValidationError(unread)
     os.makedirs(out_dir, exist_ok=True)
-    if subcommand == "report":
-        return _cmd_report(config_path, out_dir, args)[1]
-
-    cfg = parse_config(_load_config_text(config_path))
-    unused = _unused_key_violations(cfg, subcommand)
-    if unused:
-        raise ValidationError(unused)
-    artifacts, code, seeds = _COMMANDS[subcommand](cfg, out_dir, args)
+    if cfg is None:
+        return command(config_path, out_dir, args)[1]
+    artifacts, code, seeds = command(cfg, out_dir, args)
     write_manifest(
         out_dir, subcommand, serialize_config(cfg), _constants(cfg), seeds, artifacts
     )
@@ -397,11 +440,11 @@ def main(argv=None) -> int:
         "flow on the torus: attractor conditions, pathwise random dynamics, "
         "and convergence-rate sweeps.",
     )
-    parser.add_argument("subcommand", choices=(*_COMMANDS, "report"))
+    parser.add_argument("subcommand", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="config file, or a manifest.json")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
-    parser.add_argument("--format", choices=("csv", "svg"), default="csv")
+    parser.add_argument("--seed-offset", type=int, default=_OPTIONS["--seed-offset"])
+    parser.add_argument("--format", choices=("csv", "svg"), default=_OPTIONS["--format"])
     args = parser.parse_args(argv)
 
     try:

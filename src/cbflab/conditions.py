@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GridMismatchError, ValidationError
 from .grid import TorusGrid
 from .operators import h_norm
 from .params import EstimateConstants, PhysicsParams
@@ -124,6 +124,8 @@ def check_singleton_condition(
     regime: str | None = None,
 ) -> ConditionReport:
     """Evaluate the small-forcing condition for the requested regime."""
+    if params.forcing is not None and not params.forcing.grid.compatible(grid):
+        raise GridMismatchError("the forcing lives on a different grid than grid")
     constants = constants or EstimateConstants()
     regime = regime or default_regime(params, grid)
     if regime not in REGIMES:

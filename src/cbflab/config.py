@@ -18,6 +18,7 @@ violation with its field path, not just the first.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields
 
@@ -86,7 +87,7 @@ def parse_field_spec(text: str, where: str, problems: list):
     if text.startswith("random"):
         kv = dict(re.findall(r"(\w+)\s*=\s*([^\s]+)", text[6:]))
         try:
-            return RandomSpec(
+            spec = RandomSpec(
                 seed=int(kv.get("seed", "0")),
                 hnorm=float(kv.get("hnorm", "1.0")),
                 kmax=float(kv.get("kmax", RandomSpec.kmax)),
@@ -94,6 +95,10 @@ def parse_field_spec(text: str, where: str, problems: list):
         except ValueError as exc:
             problems.append(f"{where}: bad random spec ({exc})")
             return NoneSpec()
+        for name in ("hnorm", "kmax"):
+            if not math.isfinite(getattr(spec, name)):
+                problems.append(f"{where}: random {name} must be finite, got {getattr(spec, name)}")
+        return spec
     if text.startswith("modes"):
         entries = []
         body = text[5:].strip()

@@ -43,6 +43,9 @@ from .errors import ValidationError
 QUADRATIC_PAD = 1.5
 #: Padding ratio used for the |u|^(r-1)u damping product and L^p quadrature.
 DAMPING_PAD = 2.0
+#: Largest accepted ``dealias_factor``: no product needs more than DAMPING_PAD,
+#: and each padded lattice grows as the factor to the power dim.
+MAX_PAD = 3.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ class TorusGrid:
     L : float
         Period of the box.
     dealias_factor : float
-        Zero-padding ratio for quadratic products.  Values below 3/2 are
-        accepted but the advection kernel always pads by at least 3/2.
+        Zero-padding ratio for quadratic products, in [1, 3].  Values below
+        3/2 are accepted but the advection kernel always pads by at least 3/2.
     """
 
     dim: int
@@ -96,8 +99,10 @@ class TorusGrid:
             problems.append(f"grid.N: must be even and >= 8, got {N}")
         if not (0 < L < math.inf):
             problems.append(f"grid.L: must be positive and finite, got {L}")
-        if not (1.0 <= dealias_factor < math.inf):
-            problems.append(f"grid.dealias_factor: must be >= 1 and finite, got {dealias_factor}")
+        if not (1.0 <= dealias_factor <= MAX_PAD):
+            problems.append(
+                f"grid.dealias_factor: must lie in [1, {MAX_PAD}], got {dealias_factor}"
+            )
         return problems
 
     def __post_init__(self):

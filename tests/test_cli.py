@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import cbflab
+from cbflab import cli
 from cbflab.cli import main
+from cbflab.config import RunConfig, parse_config
 from cbflab.conditions import ConditionReport
 from cbflab.experiments import RateFit, SweepRecord
 
@@ -159,7 +161,7 @@ def test_pullback_subcommand(tmp_path):
 
 
 def test_ou_diagnostics(tmp_path, capsys):
-    cfg = write(tmp_path, "ou.cfg", BASE + "\n[noise]\nou_alpha = 1.0\nn_samples = 1500\n")
+    cfg = write(tmp_path, "ou.cfg", "[noise]\nou_alpha = 1.0\nn_samples = 1500\n")
     out = tmp_path / "ou"
     assert main(["ou-diagnostics", "--config", cfg, "--out", str(out)]) == 0
     stats = json.loads((out / "ou_stats.json").read_text())
@@ -351,10 +353,26 @@ def test_pullback_seed_offset_shifts_the_noise_seed(tmp_path):
     assert json.loads((out / "pullback_sample.json").read_text())["seed"] == 3
 
 
-SEEDED = BASE + """
+#: A config for each subcommand that sets only keys it reads, with the noise seed 5.
+CONFIGS = {
+    "check-conditions": BASE,
+    "simulate": BASE + "\n[solver]\nh = 0.02\nT = 0.2\ninitial = random seed=1 hnorm=0.5 kmax=4\n",
+    "singleton": BASE + "\n[solver]\nh = 0.02\nT = 20.0\ntol = 1e-6\n",
+    "pullback": BASE + """
 [noise]
 mode = multiplicative
 epsilon = 0.1
+ou_alpha = 2.5
+seed = 5
+
+[solver]
+h = 0.02
+t_pull = 2.0
+pullback_tol = 10.0
+""",
+    "sweep": BASE + """
+[noise]
+mode = multiplicative
 eps_grid = 0.1,0.05,0.025
 ou_alpha = 2.5
 seed = 5
@@ -366,17 +384,8 @@ T = 20.0
 t_pull = 2.0
 tol = 1e-6
 pullback_tol = 10.0
-"""
-
-
-#: ``simulate`` and ``singleton`` use no noise and reject every ``[noise]`` key;
-#: ``pullback`` rejects ``eps_grid`` and ``n_samples``, and ``sweep`` rejects ``epsilon``.
-NOISELESS = SEEDED[: SEEDED.index("[noise]")] + SEEDED[SEEDED.index("[solver]"):]
-CONFIGS = {
-    "simulate": NOISELESS,
-    "singleton": NOISELESS,
-    "pullback": SEEDED.replace("eps_grid = 0.1,0.05,0.025\n", "").replace("n_samples = 3\n", ""),
-    "sweep": SEEDED.replace("epsilon = 0.1\n", ""),
+""",
+    "ou-diagnostics": "[noise]\nou_alpha = 2.5\nseed = 5\nn_samples = 3\n",
 }
 
 
@@ -386,70 +395,141 @@ CONFIGS = {
     ("singleton", []),
     ("pullback", [7]),
     ("sweep", [7, 8, 9]),
-    # the OU statistics draw at least 1000 paths and ignore --seed-offset
+    # the OU statistics draw at least 1000 paths
     ("ou-diagnostics", list(range(5, 1005))),
 ])
 def test_manifest_lists_the_seeds_drawn(tmp_path, subcommand, seeds):
-    cfg = write(tmp_path, "seeded.cfg", CONFIGS.get(subcommand, SEEDED))
+    # --seed-offset 2 where the subcommand reads it
+    offset = ["--seed-offset", "2"] if subcommand in ("pullback", "sweep") else []
+    cfg = write(tmp_path, "seeded.cfg", CONFIGS[subcommand])
     out = tmp_path / "o"
-    assert main([subcommand, "--config", cfg, "--out", str(out), "--seed-offset", "2"]) == 0
+    assert main([subcommand, "--config", cfg, "--out", str(out), *offset]) == 0
     assert json.loads((out / "manifest.json").read_text())["seeds"] == seeds
 
 
-@pytest.mark.parametrize("subcommand,key", [
-    ("singleton", "solver.initial"),
-    ("sweep", "solver.initial"),
-    ("singleton", "output.snapshot_every"),
-    ("pullback", "output.snapshot_every"),
-    ("sweep", "output.snapshot_every"),
-    ("pullback", "noise.eps_grid"),
-    ("pullback", "noise.n_samples"),
-    ("sweep", "noise.epsilon"),
-])
-def test_keys_a_subcommand_would_drop_are_rejected(tmp_path, capsys, subcommand, key):
-    section, name = key.split(".")
-    value = {
-        "initial": "random seed=1 hnorm=0.5 kmax=4",
-        "snapshot_every": "10",
-        "eps_grid": "0.1,0.05,0.025",
-        "n_samples": "3",
-        "epsilon": "0.1",
-    }[name]
-    base = CONFIGS.get(subcommand, SEEDED)
-    cfg = write(tmp_path, "c.cfg", base + f"\n[{section}]\n{name} = {value}\n")
+#: Each config key and option off its default, with whatever else keeps the
+#: config valid for the subcommand's own CONFIGS entry.  A new key without an
+#: entry here fails the rejection test with a KeyError.
+OFF_DEFAULT = {
+    "grid.dim": "[grid]\ndim = 3",
+    "grid.N": "[grid]\nN = 16",
+    "grid.L": "[grid]\nL = 3.0",
+    "grid.dealias_factor": "[grid]\ndealias_factor = 2.0",
+    "physics.mu": "[physics]\nmu = 2.0",
+    "physics.beta": "[physics]\nbeta = 0.5",
+    "physics.r": "[physics]\nr = 2.0",
+    "physics.darcy": "[physics]\ndarcy = 0.5",
+    "physics.forcing": "[physics]\nforcing = modes k=(1,0) a=(0j,(1+0j))",
+    "physics.forcing_h_norm":
+        "[physics]\nforcing = modes k=(1,0) a=(0j,(1+0j))\nforcing_h_norm = 0.2",
+    "noise.mode": "[noise]\nmode = multiplicative",
+    "noise.epsilon": "[noise]\nmode = multiplicative\nepsilon = 0.5",
+    "noise.eps_grid": "[noise]\neps_grid = 0.1,0.05,0.025",
+    "noise.ou_alpha": "[noise]\nou_alpha = 2.0",
+    "noise.phi": "[noise]\nmode = additive\nphi = random seed=1 hnorm=1.0 kmax=4",
+    "noise.seed": "[noise]\nseed = 9",
+    "noise.n_samples": "[noise]\nn_samples = 3",
+    "solver.h": "[solver]\nh = 0.02",
+    "solver.T": "[solver]\nT = 2.0",
+    "solver.t_pull": "[solver]\nt_pull = 2.0",
+    "solver.tol": "[solver]\ntol = 1e-6",
+    "solver.pullback_tol": "[solver]\npullback_tol = 0.5",
+    "solver.cfl_safety": "[solver]\ncfl_safety = 0.5",
+    "solver.blowup_guard": "[solver]\nblowup_guard = 1e3",
+    "solver.n_probes": "[solver]\nn_probes = 4",
+    "solver.initial": "[solver]\ninitial = random seed=1 hnorm=0.5 kmax=4",
+    "constants.c1": "[constants]\nc1 = 1.0",
+    "constants.c2": "[constants]\nc2 = 1.0",
+    "constants.c3": "[constants]\nc3 = 1.0",
+    "output.snapshot_every": "[output]\nsnapshot_every = 10",
+    "--seed-offset": ["--seed-offset", "2"],
+    "--format": ["--format", "svg"],
+}
+
+#: Every subcommand with every input it does not read; report takes no config.
+UNREAD = [
+    (subcommand, name)
+    for subcommand in cli._COMMANDS
+    for name in cli._inputs(RunConfig(), cli._OPTIONS)
+    if name not in cli._reads(subcommand) and (subcommand != "report" or name.startswith("--"))
+]
+
+
+@pytest.mark.parametrize("subcommand,name", UNREAD, ids=[f"{s}-{n}" for s, n in UNREAD])
+def test_keys_a_subcommand_would_drop_are_rejected(tmp_path, capsys, subcommand, name):
+    # every pair of a subcommand with an input that its _COMMANDS entry omits
+    setting, extra = OFF_DEFAULT[name], []
+    if name.startswith("--"):
+        setting, extra = "", setting
+    if subcommand == "report":
+        (tmp_path / "fit.json").write_text(FIT)
+        cfg = str(tmp_path)
+    else:
+        cfg = write(tmp_path, "c.cfg", CONFIGS[subcommand] + f"\n{setting}\n")
     out = tmp_path / "o"
-    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {key}: ") and subcommand in err
+    assert main([subcommand, "--config", cfg, "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert f"error: {name}: set, but {subcommand} does not use it; leave it at its default" in err
+    assert all(line.endswith("does not use it; leave it at its default") for line in err)
     assert not (out / "manifest.json").exists()
 
 
-#: Each [noise] key off its default, with whatever else makes the section valid.
-NOISE_SETTINGS = {
-    "mode": "mode = multiplicative",
-    "epsilon": "mode = multiplicative\nepsilon = 0.5",
-    "eps_grid": "eps_grid = 0.1,0.05,0.025",
-    "ou_alpha": "ou_alpha = 2.5",
-    "phi": "mode = additive\nphi = random seed=1 hnorm=1.0 kmax=4",
-    "seed": "seed = 9",
-    "n_samples": "n_samples = 3",
-}
+def _recording(section, name, reads):
+    """A copy of the config ``section`` that adds ``name.key`` to ``reads`` on every key read."""
+    keys = {f.name for f in fields(section)}
+
+    class Recording(type(section)):
+        def __getattribute__(self, attr):
+            if attr in keys:
+                reads.add(f"{name}.{attr}")
+            return super().__getattribute__(attr)
+
+    return Recording(**{key: getattr(section, key) for key in keys})
+
+
+class RecordingArgs:
+    """Parsed options at their defaults, adding each option read to ``reads``."""
+
+    def __init__(self, reads):
+        self.reads = reads
+
+    def __getattr__(self, attr):
+        option = "--" + attr.replace("_", "-")
+        self.reads.add(option)
+        return cli._OPTIONS[option]
+
+
+@pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+def test_command_entries_list_exactly_the_inputs_read(tmp_path, capsys, subcommand):
+    # a run on a small config records the keys and options its code reads
+    reads = set()
+    command = cli._COMMANDS[subcommand][0]
+    if subcommand == "report":
+        (tmp_path / "fit.json").write_text(FIT)
+        command(str(tmp_path), str(tmp_path), RecordingArgs(reads))
+    else:
+        cfg = parse_config(CONFIGS[subcommand])
+        recorded = RunConfig(**{
+            f.name: _recording(getattr(cfg, f.name), f.name, reads) for f in fields(cfg)
+        })
+        command(recorded, str(tmp_path), RecordingArgs(reads))
+    assert reads == cli._reads(subcommand)
 
 
 @pytest.mark.parametrize(
-    "subcommand,name", [(sub, name) for sub in ("simulate", "singleton") for name in NOISE_SETTINGS]
+    "subcommand, config",
+    [
+        ("simulate", "/nonexistent/run.cfg"),
+        ("simulate", "."),
+        ("report", "."),
+    ],
+    ids=["missing-config", "config-is-a-directory", "report-without-fit-json"],
 )
-def test_noise_keys_are_rejected_where_no_noise_runs(tmp_path, capsys, subcommand, name):
-    cfg = write(tmp_path, "c.cfg", NOISELESS + f"\n[noise]\n{NOISE_SETTINGS[name]}\n")
-    out = tmp_path / "o"
-    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+def test_missing_input_exits_2(tmp_path, monkeypatch, capsys, subcommand, config):
+    monkeypatch.chdir(tmp_path)
+    assert main([subcommand, "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert (
-        f"error: noise.{name}: set, but {subcommand} does not use it; leave it at its default"
-        in err.splitlines()
-    )
-    assert not (out / "manifest.json").exists()
+    assert err.startswith("error: ") and "cannot read" in err
 
 
 REPRODUCIBLE = BASE + """

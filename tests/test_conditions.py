@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from cbflab import (
     EstimateConstants,
+    GridMismatchError,
     PhysicsParams,
     TorusGrid,
     ValidationError,
     check_singleton_condition,
+    find_singleton,
     grashof,
+    rate_sweep,
     reynolds,
     single_mode_field,
 )
@@ -44,6 +47,21 @@ def test_grashof_direct_substitution(grid2d):
     p = PhysicsParams(mu=2.0, beta=1.0, r=3.0, forcing=f)
     assert grashof(p, grid2d) == pytest.approx(0.25, rel=1e-12)
     assert reynolds(p, grid2d) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_forcing_on_another_grid_is_a_grid_mismatch():
+    # the grashof number reads the forcing's grid and lambda1 the argument's;
+    # the solvers check the condition before any step
+    forcing = single_mode_field(TorusGrid(dim=2, N=16), (1, 0), (0.0, 1.0), h_norm=0.2)
+    p = PhysicsParams(mu=1.0, beta=1.0, r=3.0, forcing=forcing)
+    grid = TorusGrid(dim=2, N=32)
+    for call in (
+        lambda: check_singleton_condition(p, grid),
+        lambda: find_singleton(p, grid, maxT=0.1, h=0.01),
+        lambda: rate_sweep(p, grid, "multiplicative", (0.1, 0.05, 0.025), 2, 0.1, 0.01),
+    ):
+        with pytest.raises(GridMismatchError, match="different grid"):
+            call()
 
 
 def test_zero_forcing_condition_trivially_holds(grid2d, constants):

@@ -290,6 +290,7 @@ _NONE = NoiseConfig(mode="none")
         ("[output]\nsnapshot_every = -1", lambda: simulate(_U0, _P, 0.02, 0.01, sample_every=-1)),
         ("[grid]\nL = inf", lambda: TorusGrid(dim=2, N=16, L=math.inf)),
         ("[grid]\ndealias_factor = inf", lambda: TorusGrid(dim=2, N=16, dealias_factor=math.inf)),
+        ("[grid]\ndealias_factor = 1e300", lambda: TorusGrid(dim=2, N=16, dealias_factor=1e300)),
         ("[physics]\nmu = inf", lambda: PhysicsParams(mu=math.inf, beta=1.0, r=3.0)),
         ("[physics]\nbeta = inf", lambda: PhysicsParams(mu=1.0, beta=math.inf, r=3.0)),
         ("[physics]\nr = inf", lambda: PhysicsParams(mu=1.0, beta=1.0, r=math.inf)),
@@ -318,7 +319,7 @@ _NONE = NoiseConfig(mode="none")
         "grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2",
         "h-nan", "T-nan", "cfl-nan", "cfl-above-1", "guard-negative", "tol-zero",
         "pullback-tol-negative", "n-probes-1", "t-pull-nan", "snapshot-negative",
-        "L-inf", "dealias-inf", "mu-inf", "beta-inf", "r-inf", "darcy-inf", "darcy-noise",
+        "L-inf", "dealias-inf", "dealias-huge", "mu-inf", "beta-inf", "r-inf", "darcy-inf", "darcy-noise",
         "ou-alpha-inf",
         "c1-inf", "c2-inf", "c3-inf", "h-inf", "T-inf", "t-pull-inf", "tol-inf",
         "pullback-tol-inf", "guard-inf",

@@ -8,6 +8,7 @@ import struct
 import tempfile
 from dataclasses import fields as dc_fields
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,10 @@ initial = random seed=1 hnorm=0.5 kmax=4
 c1 = 1.4142135623730951
 """
 
+#: VALID with only the sections check-conditions reads, so that a mutated
+#: config reaches the run unless the mutation itself is rejected.
+CONDITIONS = VALID[: VALID.index("[noise]")] + VALID[VALID.index("[constants]"):]
+
 KEYS = [(section, f.name) for section, cls in _SECTIONS.items() for f in dc_fields(cls)]
 SCALAR_KEYS = [(section, key) for section, key in KEYS if key not in _FIELD_SPEC_KEYS | {"mode"}]
 
@@ -74,8 +79,8 @@ mutations = st.one_of(
 )
 
 
-def _mutate(steps) -> str:
-    lines = VALID.splitlines()
+def _mutate(steps, base=VALID) -> str:
+    lines = base.splitlines()
     for step in steps:
         if step[0] == "set":
             (section, key), value = step[1], step[2]
@@ -88,6 +93,9 @@ def _mutate(steps) -> str:
 
 
 mutated_configs = st.lists(mutations, min_size=1, max_size=4).map(_mutate)
+mutated_conditions = st.lists(mutations, min_size=1, max_size=4).map(
+    lambda steps: _mutate(steps, CONDITIONS)
+)
 
 
 def _parses_or_cbf_error(text):
@@ -143,7 +151,7 @@ def test_read_field_arbitrary_bytes(blob):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(mutated_configs)
+@given(mutated_conditions)
 def test_check_conditions_exit_codes(text):
     cfg = _parses_or_cbf_error(text)
     # a valid large grid legitimately allocates N^dim arrays
@@ -163,7 +171,7 @@ def test_check_conditions_exit_codes(text):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(SCALAR_KEYS), st.sampled_from(["inf", "-inf", "nan"]))
 def test_non_finite_scalar_exits_2(key, value):
-    text = _mutate([("set", key, value)])
+    text = _mutate([("set", key, value)], CONDITIONS)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.cfg")
         with open(path, "w", encoding="utf-8") as fh:
@@ -173,6 +181,24 @@ def test_non_finite_scalar_exits_2(key, value):
             code = main(["check-conditions", "--config", path, "--out", os.path.join(tmp, "o")])
     assert code == 2, f"{key} = {value}: {err.getvalue()}"
     assert err.getvalue().startswith("error: ")
+    assert "does not use it" not in err.getvalue()  # the value, not the key, is rejected
+
+
+@pytest.mark.parametrize("where", ["physics.forcing", "noise.phi", "solver.initial"])
+@pytest.mark.parametrize("name", ["hnorm", "kmax"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_random_spec_exits_2(tmp_path, capsys, where, name, value):
+    # kmax = nan used to mean the default band, and inf ran
+    spec = {"hnorm": "1.0", "kmax": "4", name: value}
+    section, key = where.split(".")
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        f"{CONDITIONS}\n[{section}]\n{key} = random seed=1 "
+        f"hnorm={spec['hnorm']} kmax={spec['kmax']}\n"
+    )
+    code = main(["check-conditions", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {where}: random {name} must be finite, got {value}\n"
 
 
 @settings(max_examples=500, deadline=None)
