@@ -1,6 +1,6 @@
 """Spectral simulation laboratory for damped incompressible flow on the torus."""
 
-from .conditions import ConditionReport, check_singleton_condition, grashof, reynolds
+from .conditions import ConditionReport, check_singleton_condition, grashof
 from .deterministic import (
     Trajectory,
     energy_residual,
@@ -95,7 +95,6 @@ __all__ = [
     "random_field",
     "rate_sweep",
     "read_field",
-    "reynolds",
     "sample_wiener",
     "simulate",
     "single_mode_field",

@@ -30,11 +30,6 @@ def grashof(params: PhysicsParams, grid: TorusGrid) -> float:
     return forcing_h_norm(params) / (params.mu**2 * grid.lambda1)
 
 
-def reynolds(params: PhysicsParams, grid: TorusGrid) -> float:
-    """Re = |f|_H^(1/2) / (mu lambda1^(1/2))."""
-    return np.sqrt(forcing_h_norm(params)) / (params.mu * np.sqrt(grid.lambda1))
-
-
 def eta3(mu, beta, r):
     """Damping-absorbed advection constant for 3D, r > 3."""
     return (r - 3.0) / (mu * (r - 1.0)) * (4.0 / (beta * mu * (r - 1.0))) ** (

@@ -10,7 +10,7 @@ Field-valued entries (forcing, phi, initial) use one of
     none
     file <path>
     modes k=(i,j[,l]) a=(<complex>,...) | k=... a=...
-    random seed=<int> hnorm=<float> kmax=<float>
+    random [seed=<int>] [hnorm=<float>] [kmax=<float>]
 
 Parsing reports every syntax error with its line number and every semantic
 violation with its field path, not just the first.
@@ -66,42 +66,53 @@ class ModesSpec:
 
 @dataclass(frozen=True)
 class RandomSpec:
-    seed: int
-    hnorm: float
-    kmax: float = -1.0  # nonpositive means "use random_field's default band"
+    seed: int = 0
+    hnorm: float = 1.0
+    kmax: float | None = None  # None: random_field's default band
 
     def serialize(self) -> str:
-        return f"random seed={self.seed} hnorm={self.hnorm!r} kmax={self.kmax!r}"
+        kmax = "" if self.kmax is None else f" kmax={self.kmax!r}"
+        return f"random seed={self.seed} hnorm={self.hnorm!r}{kmax}"
+
+
+def _parse_random_spec(body: str, where: str, problems: list):
+    kv = {}
+    for entry in re.sub(r"\s*=\s*", "=", body).split():
+        name, eq, value = entry.partition("=")
+        if not eq or name not in ("seed", "hnorm", "kmax"):
+            problems.append(f"{where}: unknown random entry {entry!r}")
+        elif name in kv:
+            problems.append(f"{where}: random {name} given twice")
+        else:
+            kv[name] = value
+    try:
+        spec = RandomSpec(**{k: (int if k == "seed" else float)(v) for k, v in kv.items()})
+    except ValueError as exc:
+        problems.append(f"{where}: bad random spec ({exc})")
+        return NoneSpec()
+    if not math.isfinite(spec.hnorm):
+        problems.append(f"{where}: random hnorm must be finite, got {spec.hnorm}")
+    if spec.kmax is not None:
+        if not math.isfinite(spec.kmax):
+            problems.append(f"{where}: random kmax must be finite, got {spec.kmax}")
+        elif spec.kmax <= 0:
+            problems.append(f"{where}: random kmax must be > 0, got {spec.kmax}")
+    return spec
 
 
 def parse_field_spec(text: str, where: str, problems: list):
-    text = text.strip()
-    if text == "none" or text == "":
+    kind, body = (text.split(None, 1) + ["", ""])[:2]
+    if kind in ("", "none") and not body:
         return NoneSpec()
-    if text.startswith("file"):
-        path = text[4:].strip()
-        if not path:
+    if kind == "file":
+        if not body:
             problems.append(f"{where}: file spec needs a path")
             return NoneSpec()
-        return FileSpec(path)
-    if text.startswith("random"):
-        kv = dict(re.findall(r"(\w+)\s*=\s*([^\s]+)", text[6:]))
-        try:
-            spec = RandomSpec(
-                seed=int(kv.get("seed", "0")),
-                hnorm=float(kv.get("hnorm", "1.0")),
-                kmax=float(kv.get("kmax", RandomSpec.kmax)),
-            )
-        except ValueError as exc:
-            problems.append(f"{where}: bad random spec ({exc})")
-            return NoneSpec()
-        for name in ("hnorm", "kmax"):
-            if not math.isfinite(getattr(spec, name)):
-                problems.append(f"{where}: random {name} must be finite, got {getattr(spec, name)}")
-        return spec
-    if text.startswith("modes"):
+        return FileSpec(body)
+    if kind == "random":
+        return _parse_random_spec(body, where, problems)
+    if kind == "modes":
         entries = []
-        body = text[5:].strip()
         for chunk in body.split("|"):
             m = re.match(
                 r"\s*k=\(([^)]*)\)\s+a=\((.*)\)\s*$", chunk
@@ -142,8 +153,7 @@ def build_field(spec, grid: TorusGrid, h_norm_override: float | None = None):
         if not u.grid.compatible(grid):
             raise ValidationError(f"field file {spec.path} has an incompatible grid")
     elif isinstance(spec, RandomSpec):
-        kmax = spec.kmax if spec.kmax > 0 else None
-        u = random_field(grid, spec.seed, h_norm=spec.hnorm, kmax=kmax)
+        u = random_field(grid, spec.seed, h_norm=spec.hnorm, kmax=spec.kmax)
     elif isinstance(spec, ModesSpec):
         total = None
         for k, a in spec.entries:

@@ -38,7 +38,6 @@ logger = logging.getLogger(__name__)
 class Trajectory:
     """Per-step norm series plus field snapshots at sample times."""
 
-    grid: TorusGrid
     h: float
     t: np.ndarray
     h_norm: np.ndarray
@@ -156,7 +155,7 @@ def drive(
     fu = np.empty(n_rec)
     lr = np.empty(n_rec) if record_lr else None
 
-    traj = Trajectory(grid=grid, h=h, t=t_arr, h_norm=hn, v_norm=vn, f_dot_u=fu, lr_norm=lr)
+    traj = Trajectory(h=h, t=t_arr, h_norm=hn, v_norm=vn, f_dot_u=fu, lr_norm=lr)
 
     # Parseval weights of the half layout for |u|_H^2, |u|_V^2 and (f, u)
     h_weight = grid.volume() * grid.half_weight

@@ -49,7 +49,6 @@ class SpectralVelocity:
         if np.max(np.abs(c[origin])) > 1.0e-12 * scale:
             raise MeanViolationError("nonzero mean (k = 0) coefficient")
         c = np.array(c)
-        c[origin] = 0.0
         c[:, ~g.mask] = 0.0
 
         mirror = np.conj(g.negate_modes(c))
@@ -64,10 +63,6 @@ class SpectralVelocity:
 
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
 
     def same_grid(self, other: "SpectralVelocity") -> None:
         if not self.grid.compatible(other.grid):

@@ -54,15 +54,12 @@ def leray_kernel(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def leray_project(grid: TorusGrid, raw) -> SpectralVelocity:
+def leray_project(grid: TorusGrid, raw: np.ndarray) -> SpectralVelocity:
     """Project raw coefficients onto mean-free, divergence-free fields.
 
     A nonzero k = 0 coefficient is rejected: the projection removes gradient
     parts, it does not silently discard a mean flow.
     """
-    if isinstance(raw, SpectralVelocity):
-        grid = raw.grid
-        raw = raw.coeffs
     coeffs = np.asarray(raw, dtype=complex)
     if coeffs.shape != (grid.dim,) + grid.shape:
         raise ValidationError(

@@ -15,7 +15,6 @@ from cbflab import (
     find_singleton,
     grashof,
     rate_sweep,
-    reynolds,
     single_mode_field,
 )
 from cbflab.conditions import (
@@ -34,7 +33,6 @@ from cbflab.conditions import (
 def test_grashof_zero_forcing(grid2d):
     p = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
     assert grashof(p, grid2d) == 0.0
-    assert reynolds(p, grid2d) == 0.0
 
 
 def test_grashof_direct_substitution(grid2d):
@@ -42,11 +40,10 @@ def test_grashof_direct_substitution(grid2d):
     f = single_mode_field(grid2d, (1, 0), (0.0, 1.0), h_norm=0.1)
     p = PhysicsParams(mu=1.0, beta=1.0, r=3.0, forcing=f)
     assert grashof(p, grid2d) == pytest.approx(0.1, rel=1e-12)
-    # mu = 2, lambda1 = 1, |f|_H = 1  ->  G = 0.25, Re = 0.5
+    # mu = 2, lambda1 = 1, |f|_H = 1  ->  G = 0.25
     f = single_mode_field(grid2d, (1, 0), (0.0, 1.0), h_norm=1.0)
     p = PhysicsParams(mu=2.0, beta=1.0, r=3.0, forcing=f)
     assert grashof(p, grid2d) == pytest.approx(0.25, rel=1e-12)
-    assert reynolds(p, grid2d) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_forcing_on_another_grid_is_a_grid_mismatch():

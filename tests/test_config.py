@@ -17,6 +17,7 @@ from cbflab import (
     simulate,
     zero_velocity,
 )
+from cbflab.cli import main
 from cbflab.config import (
     ModesSpec,
     NoneSpec,
@@ -204,6 +205,41 @@ def test_round_trip_random_values(mu, h, seed, eps):
     )
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_round_trip_random_spec_without_kmax():
+    cfg = parse_config(MINIMAL + "\n[solver]\ninitial = random seed=2 hnorm=0.5\n")
+    assert cfg.solver.initial == RandomSpec(seed=2, hnorm=0.5)
+    assert "initial = random seed=2 hnorm=0.5\n" in serialize_config(cfg)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_a_key_set_twice_takes_its_later_value():
+    cfg = parse_config(MINIMAL + "\n[physics]\nmu = 2.0\n[grid]\nN = 8\nN = 32\n")
+    assert (cfg.physics.mu, cfg.grid.N) == (2.0, 32)
+
+
+@pytest.mark.parametrize("where", ["physics.forcing", "noise.phi", "solver.initial"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("random seed=1 hnrom=0.1", "unknown random entry 'hnrom=0.1'"),
+        ("random sead=3", "unknown random entry 'sead=3'"),
+        ("random seed=1 kmax=4 kmax=2", "random kmax given twice"),
+        ("random seed=1 hnorm=1.0 stray", "unknown random entry 'stray'"),
+        ("random seed=1 kmax=0", "random kmax must be > 0, got 0.0"),
+        ("random seed=1 kmax=-5", "random kmax must be > 0, got -5.0"),
+        ("randomize seed=1", "unknown field spec 'randomize seed=1'"),
+        ("filefoo", "unknown field spec 'filefoo'"),
+    ],
+)
+def test_field_specs_are_read_exactly(tmp_path, capsys, where, spec, message):
+    section, key = where.split(".")
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{MINIMAL}\n[{section}]\n{key} = {spec}\n")
+    code = main(["check-conditions", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
 
 def test_mode_spec_parsing_and_build(grid2d_small):

@@ -59,6 +59,9 @@ TOKENS = [
     "none", "additive", "multiplicative", "0.1,0.05,0.025", "0.1,nan",
     "file /nonexistent/field.cbff", "file", "random seed=1 hnorm=1.0 kmax=3",
     "random seed=-5 hnorm=0 kmax=0.5", "random seed=x", "random hnorm=nan",
+    "random seed=1 hnrom=0.1", "random sead=3", "random seed=1 kmax=4 kmax=2",
+    "random seed=1 hnorm=1.0 stray", "random kmax=0", "random kmax=-5",
+    "randomize seed=1", "filefoo",
     "modes k=(1,0) a=(0j,(1+0j))", "modes k=(1,0,0) a=(0j,1j,0j)",
     "modes k=(0,1,0) a=(1,0,0) | k=(1,1,0) a=(1,-1,1j)", "modes k=(9,0) a=(1,1)",
     "modes k=(0,0) a=(1,1)", "modes k=(1,0) a=(1,0)", "modes k=(1,0) a=(nan,nanj)",
