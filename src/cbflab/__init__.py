@@ -20,9 +20,7 @@ from .errors import (
 from .experiments import (
     RateFit,
     SweepRecord,
-    contraction_experiment,
     fit_rate,
-    measure_distance,
     rate_sweep,
 )
 from .fields import (
@@ -77,7 +75,6 @@ __all__ = [
     "WienerPath",
     "bilinear_B",
     "check_singleton_condition",
-    "contraction_experiment",
     "damping_C",
     "energy_residual",
     "find_singleton",
@@ -87,7 +84,6 @@ __all__ = [
     "inner_h",
     "leray_project",
     "lr_norm",
-    "measure_distance",
     "ou_from_wiener",
     "ou_path",
     "probe_field",

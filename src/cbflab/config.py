@@ -92,11 +92,13 @@ def _parse_random_spec(body: str, where: str, problems: list):
         return NoneSpec()
     if not math.isfinite(spec.hnorm):
         problems.append(f"{where}: random hnorm must be finite, got {spec.hnorm}")
+    elif spec.hnorm < 0:
+        problems.append(f"{where}: random hnorm must be >= 0, got {spec.hnorm}")
     if spec.kmax is not None:
         if not math.isfinite(spec.kmax):
             problems.append(f"{where}: random kmax must be finite, got {spec.kmax}")
-        elif spec.kmax <= 0:
-            problems.append(f"{where}: random kmax must be > 0, got {spec.kmax}")
+        elif spec.kmax < 1:  # no lattice mode has 0 < |k| < 1
+            problems.append(f"{where}: random kmax must be >= 1, got {spec.kmax}")
     return spec
 
 
@@ -336,6 +338,8 @@ def validate_config(cfg: RunConfig) -> list:
                     )
     if ph.forcing_h_norm is not None and isinstance(ph.forcing, NoneSpec):
         p.append("physics.forcing_h_norm: set, but forcing = none has no norm to rescale")
+    elif ph.forcing_h_norm is not None and not (0.0 <= ph.forcing_h_norm < math.inf):
+        p.append(f"physics.forcing_h_norm: must be finite and >= 0, got {ph.forcing_h_norm}")
     p += random_darcy_violations(nz.mode, ph.darcy)
     if not (1 <= nz.n_samples <= MAX_SAMPLES):
         p.append(f"noise.n_samples: must lie in [1, {MAX_SAMPLES}], got {nz.n_samples}")

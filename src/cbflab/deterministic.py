@@ -296,6 +296,19 @@ class SingletonResult:
     probe_seeds: list
     t_final: float
 
+    def contraction_slope(self) -> float:
+        """Least-squares slope of 2 log d against t over the log's checks with
+        t >= 3 and d > 1e-11: the decay rate of the squared pairwise
+        H-distance, which the singleton condition bounds by -varrho/2."""
+        tail = [(t, d) for t, d, _ in self.contraction_log if t >= 3.0 and d > 1e-11]
+        if len(tail) < 3:
+            raise ValidationError(
+                f"contraction log: {len(tail)} checks with t >= 3 and distance > 1e-11, "
+                "a fit needs 3"
+            )
+        t, d = np.array(tail).T
+        return float(np.polyfit(t, 2.0 * np.log(d), 1)[0])
+
 
 def find_singleton(
     params: PhysicsParams,

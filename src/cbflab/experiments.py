@@ -14,28 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import check_singleton_condition
-from .deterministic import find_singleton, probe_field, simulate
+from .deterministic import find_singleton
 from .errors import NonConvergenceError, ValidationError
 from .fields import SpectralVelocity
 from .grid import TorusGrid
-from .operators import h_distance, h_norm_kernel
+from .operators import h_distance
 from .params import EstimateConstants, PhysicsParams, SolverSettings, step_count
-from .random_pde import ADDITIVE, MULTIPLICATIVE, NoiseConfig, PullbackSample, pullback_sample
+from .random_pde import ADDITIVE, MULTIPLICATIVE, NoiseConfig, pullback_sample
 
 logger = logging.getLogger(__name__)
-
-#: Share of the horizon [0, T] over which contraction slopes are fitted.
-TAIL_FRACTION = 0.5
-#: Distances at or below this are round-off and are left out of the fits.
-DISTANCE_FLOOR = 1.0e-13
-
-
-def measure_distance(a_star: SpectralVelocity, sample) -> float:
-    """dist_H between the singleton attractor and one attractor sample."""
-    other = sample.state if isinstance(sample, PullbackSample) else sample
-    return h_distance(a_star, other)
-
 
 def delta_theory(mode: str, r: float) -> float:
     """Predicted convergence exponent: (r+1)/(2r) additive, 1 multiplicative."""
@@ -217,73 +204,10 @@ def rate_sweep(
                     seed=seed,
                     mode=mode,
                     r=params.r,
-                    dist_h=measure_distance(a_star, sample),
+                    dist_h=h_distance(a_star, sample.state),
                     t_pull=t_pull,
                     converged=converged,
                 )
             )
     fit = fit_rate(records, mode, params.r)
     return SweepResult(records=records, fit=fit)
-
-
-@dataclass
-class ContractionResult:
-    slopes: list
-    theory_floor: float
-    varrho: float
-    flagged: list
-    times: np.ndarray
-
-
-def contraction_experiment(
-    params: PhysicsParams,
-    grid: TorusGrid,
-    n_pairs: int,
-    T: float,
-    h: float = SolverSettings.h,
-    *,
-    base_seed: int = 7000,
-    constants: EstimateConstants | None = None,
-) -> ContractionResult:
-    """
-    Measure the tail decay rate of log |u1 - u2|_H^2 for random solution
-    pairs and report it against the guaranteed floor -varrho/2.
-    """
-    if n_pairs < 1:
-        raise ValidationError("n_pairs: need at least one pair")
-    report = check_singleton_condition(params, grid, constants)
-    if not report.holds:
-        raise ValidationError(
-            f"contraction: singleton condition fails (varrho = {report.varrho:.6g})"
-        )
-    n_steps = step_count(T, h, "T")
-    sample_every = max(1, n_steps // 256)
-    slopes, flagged = [], []
-    times = None
-    for p in range(n_pairs):
-        u1 = probe_field(grid, base_seed + 2 * p)
-        u2 = probe_field(grid, base_seed + 2 * p + 1)
-        t1 = simulate(u1, params, T, h, sample_every=sample_every)
-        t2 = simulate(u2, params, T, h, sample_every=sample_every)
-        times = np.array(t1.sample_times)
-        d = np.array(
-            [
-                h_norm_kernel(grid, a.coeffs - b.coeffs)
-                for a, b in zip(t1.states, t2.states)
-            ]
-        )
-        keep = d > DISTANCE_FLOOR
-        log_sq = np.where(keep, 2.0 * np.log(np.maximum(d, DISTANCE_FLOOR)), np.nan)
-        tail = (times >= (1.0 - TAIL_FRACTION) * T) & keep
-        if np.sum(tail) < 3 or d[-1] >= d[0]:
-            flagged.append(p)
-            continue
-        slope, _ = np.polyfit(times[tail], log_sq[tail], 1)
-        slopes.append(float(slope))
-    return ContractionResult(
-        slopes=slopes,
-        theory_floor=-report.varrho / 2.0,
-        varrho=report.varrho,
-        flagged=flagged,
-        times=times,
-    )

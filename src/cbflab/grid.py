@@ -99,6 +99,13 @@ class TorusGrid:
             problems.append(f"grid.N: must be even and >= 8, got {N}")
         if not (0 < L < math.inf):
             problems.append(f"grid.L: must be positive and finite, got {L}")
+        elif dim in (2, 3):
+            try:  # lambda1 and volume(); L**2 may overflow or underflow to 0
+                fits = 0 < 4.0 * math.pi**2 / L**2 < math.inf and 0 < L**dim < math.inf
+            except ArithmeticError:
+                fits = False
+            if not fits:
+                problems.append(f"grid.L: 4 pi^2/L^2 and L^dim must be finite and > 0, got {L}")
         if not (1.0 <= dealias_factor <= MAX_PAD):
             problems.append(
                 f"grid.dealias_factor: must lie in [1, {MAX_PAD}], got {dealias_factor}"

@@ -274,14 +274,15 @@ def test_forcing_h_norm_applies_to_every_spec(tmp_path, kind):
          .replace("k=(1,0) a=(0j,(1+0j))", "k=(1,0,0) a=(0j,(1+0j),0j)").encode()),
         ("nan-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = nan").encode()),
         ("neg-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = -1").encode()),
+        ("inf-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = inf").encode()),
         ("nan-mode.cfg", BASE.replace("a=(0j,(1+0j))", "a=(nan,nanj)").encode()),
         ("unforced.cfg", BASE.replace("modes k=(1,0) a=(0j,(1+0j))", "none").encode()),
         ("seeds.cfg", (BASE + "\n[noise]\nn_samples = 2000000\n").encode()),
     ],
     ids=[
         "bad-json", "not-utf8", "missing-field-file", "mu-overflow", "eta3-overflow",
-        "nan-forcing-h-norm", "negative-forcing-h-norm", "nan-forcing-mode",
-        "forcing-h-norm-without-forcing", "too-many-noise-seeds",
+        "nan-forcing-h-norm", "negative-forcing-h-norm", "inf-forcing-h-norm",
+        "nan-forcing-mode", "forcing-h-norm-without-forcing", "too-many-noise-seeds",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, name, payload):

@@ -227,8 +227,10 @@ def test_a_key_set_twice_takes_its_later_value():
         ("random sead=3", "unknown random entry 'sead=3'"),
         ("random seed=1 kmax=4 kmax=2", "random kmax given twice"),
         ("random seed=1 hnorm=1.0 stray", "unknown random entry 'stray'"),
-        ("random seed=1 kmax=0", "random kmax must be > 0, got 0.0"),
-        ("random seed=1 kmax=-5", "random kmax must be > 0, got -5.0"),
+        ("random seed=1 kmax=0", "random kmax must be >= 1, got 0.0"),
+        ("random seed=1 kmax=-5", "random kmax must be >= 1, got -5.0"),
+        ("random seed=1 kmax=0.5", "random kmax must be >= 1, got 0.5"),
+        ("random seed=1 hnorm=-1", "random hnorm must be >= 0, got -1.0"),
         ("randomize seed=1", "unknown field spec 'randomize seed=1'"),
         ("filefoo", "unknown field spec 'filefoo'"),
     ],
@@ -325,6 +327,9 @@ _NONE = NoiseConfig(mode="none")
         ("[solver]\nt_pull = nan", lambda: pullback_sample(_P, _NONE, math.nan, 0.01, grid=_G)),
         ("[output]\nsnapshot_every = -1", lambda: simulate(_U0, _P, 0.02, 0.01, sample_every=-1)),
         ("[grid]\nL = inf", lambda: TorusGrid(dim=2, N=16, L=math.inf)),
+        ("[grid]\nL = 1e-160", lambda: TorusGrid(dim=2, N=16, L=1e-160)),
+        ("[grid]\nL = 1e-300", lambda: TorusGrid(dim=2, N=16, L=1e-300)),
+        ("[grid]\nL = 1e200", lambda: TorusGrid(dim=2, N=16, L=1e200)),
         ("[grid]\ndealias_factor = inf", lambda: TorusGrid(dim=2, N=16, dealias_factor=math.inf)),
         ("[grid]\ndealias_factor = 1e300", lambda: TorusGrid(dim=2, N=16, dealias_factor=1e300)),
         ("[physics]\nmu = inf", lambda: PhysicsParams(mu=math.inf, beta=1.0, r=3.0)),
@@ -355,7 +360,8 @@ _NONE = NoiseConfig(mode="none")
         "grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2",
         "h-nan", "T-nan", "cfl-nan", "cfl-above-1", "guard-negative", "tol-zero",
         "pullback-tol-negative", "n-probes-1", "t-pull-nan", "snapshot-negative",
-        "L-inf", "dealias-inf", "dealias-huge", "mu-inf", "beta-inf", "r-inf", "darcy-inf", "darcy-noise",
+        "L-inf", "L-lambda1-inf", "L-squared-zero", "L-squared-overflow",
+        "dealias-inf", "dealias-huge", "mu-inf", "beta-inf", "r-inf", "darcy-inf", "darcy-noise",
         "ou-alpha-inf",
         "c1-inf", "c2-inf", "c3-inf", "h-inf", "T-inf", "t-pull-inf", "tol-inf",
         "pullback-tol-inf", "guard-inf",

@@ -151,6 +151,18 @@ def test_find_singleton_zero_forcing(grid2d_small):
     res = find_singleton(p, grid2d_small, tol=1e-6, maxT=40.0, n_probes=2, h=0.02)
     assert res.converged
     assert h_norm(res.a_star) <= 1e-6
+    # pairs contract at least at the Stokes rate and at 0.8 of the -varrho/2 floor
+    slope = res.contraction_slope()
+    assert slope <= -0.9 * grid2d_small.lambda1
+    assert slope <= 0.8 * (-res.condition.varrho / 2.0)
+
+
+def test_contraction_slope_needs_three_tail_checks(grid2d_small):
+    p = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
+    res = find_singleton(p, grid2d_small, tol=1e-6, maxT=4.0, n_probes=2, h=0.02)
+    assert [t for t, _, _ in res.contraction_log] == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ValidationError, match="2 checks with t >= 3"):
+        res.contraction_slope()
 
 
 def test_find_singleton_requires_condition(grid2d_small, constants):

@@ -8,11 +8,8 @@ from cbflab import (
     PhysicsParams,
     SweepRecord,
     ValidationError,
-    contraction_experiment,
     fit_rate,
-    measure_distance,
     probe_field,
-    random_field,
 )
 from cbflab.experiments import check_sweep_regime, delta_theory, mean_inversions
 
@@ -28,13 +25,6 @@ def make_records(eps_grid, dists_by_eps, n_seeds=2, mode="multiplicative", r=3.0
                 )
             )
     return recs
-
-
-def test_measure_distance_trivials(grid2d_small):
-    a = random_field(grid2d_small, 1)
-    b = random_field(grid2d_small, 2)
-    assert measure_distance(a, a) == 0.0
-    assert measure_distance(a, b) == measure_distance(b, a)
 
 
 def test_synthetic_exact_rate():
@@ -131,13 +121,3 @@ def test_contraction_identical_data_is_flat(grid2d_small):
     t2 = simulate(u, params, T=0.5, h=0.01, sample_every=10)
     for a, b in zip(t1.states, t2.states):
         assert h_norm_kernel(grid2d_small, a.coeffs - b.coeffs) == 0.0
-
-
-def test_contraction_unforced_slope(grid2d_small):
-    params = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
-    res = contraction_experiment(params, grid2d_small, n_pairs=2, T=8.0, h=0.01)
-    assert not res.flagged
-    lam1 = grid2d_small.lambda1
-    for slope in res.slopes:
-        assert slope <= -0.9 * lam1
-        assert slope <= res.theory_floor * 0.8

@@ -55,12 +55,13 @@ SCALAR_KEYS = [(section, key) for section, key in KEYS if key not in _FIELD_SPEC
 
 TOKENS = [
     "0", "-1", "1", "2", "3", "3.0", "5", "8", "16", "17", "64", "0.5", "1e-9",
-    "1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "", "abc", "0x10", "1,2",
+    "1e-300", "1e-160", "1e300", "-1e300", "nan", "inf", "-inf", "", "abc", "0x10", "1,2",
     "none", "additive", "multiplicative", "0.1,0.05,0.025", "0.1,nan",
     "file /nonexistent/field.cbff", "file", "random seed=1 hnorm=1.0 kmax=3",
     "random seed=-5 hnorm=0 kmax=0.5", "random seed=x", "random hnorm=nan",
     "random seed=1 hnrom=0.1", "random sead=3", "random seed=1 kmax=4 kmax=2",
     "random seed=1 hnorm=1.0 stray", "random kmax=0", "random kmax=-5",
+    "random seed=1 hnorm=-1", "random seed=1 kmax=0.5",
     "randomize seed=1", "filefoo",
     "modes k=(1,0) a=(0j,(1+0j))", "modes k=(1,0,0) a=(0j,1j,0j)",
     "modes k=(0,1,0) a=(1,0,0) | k=(1,1,0) a=(1,-1,1j)", "modes k=(9,0) a=(1,1)",

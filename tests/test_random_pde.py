@@ -18,7 +18,7 @@ from cbflab import (
     single_mode_field,
     zero_velocity,
 )
-from cbflab.operators import h_norm_kernel
+from cbflab.operators import h_distance, h_norm_kernel
 from cbflab.random_pde import _reconstruct
 
 @pytest.fixture(scope="module")
@@ -163,13 +163,13 @@ def test_cocycle_consistency(setup2d):
 
 def test_pullback_deterministic_reduction(setup2d):
     g, params, phi = setup2d
-    from cbflab import find_singleton, measure_distance
+    from cbflab import find_singleton
 
     res = find_singleton(params, g, tol=1e-8, maxT=60.0, n_probes=2, h=0.01)
     assert res.converged
     nz = NoiseConfig(mode="multiplicative", epsilon=0.0, ou_alpha=1.0, seed=3)
     s = pullback_sample(params, nz, 30.0, 0.01, grid=g)
-    assert measure_distance(res.a_star, s) <= 1e-6
+    assert h_distance(res.a_star, s.state) <= 1e-6
 
 
 def test_pullback_unforced_decay():

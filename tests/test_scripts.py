@@ -45,3 +45,12 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     for row in rows:
         us, peak_kb, faults = map(float, row.split()[3:])
         assert us > 0.0 and peak_kb > 0.0 and faults >= 0.0
+
+
+def test_run_contraction_experiment_runs(monkeypatch, capsys):
+    script = _load(next(p for p in SCRIPTS if p.name == "run_contraction_experiment.py"))
+    monkeypatch.setattr(sys, "argv", ["run_contraction_experiment.py"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    floor, slope = (float(line.rsplit(":", 1)[1]) for line in lines[1:3])
+    assert slope <= 0.8 * floor
