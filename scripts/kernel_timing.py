@@ -27,7 +27,7 @@ def _minor_faults() -> int:
 def measure(dim: int, n: int, r: float, repeats: int) -> dict:
     """us per call, tracemalloc peak bytes of one call and minor faults per call."""
     grid = TorusGrid(dim=dim, N=n)
-    u = grid.to_half(random_field(grid, 7, h_norm=1.5).coeffs)
+    u = random_field(grid, 7, h_norm=1.5).half
     nonlinear_kernel(grid, u, 1.0, 1.0, r)
     faults_before = _minor_faults()
     start = time.perf_counter()

@@ -9,6 +9,7 @@ equivalence can be exercised in bulk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,14 @@ def check_singleton_condition(
         raise ValidationError("physics.darcy: condition checker requires darcy = 0")
 
     mu, lam1 = params.mu, grid.lambda1
+    # every regime squares mu lambda1 and divides by the square; the 3D ones
+    # also square a sum that holds the inverse square
+    sq = (mu * lam1) * (mu * lam1)
+    if not (sq < math.inf and (sq if grid.dim == 2 else sq * sq) > 0.0):
+        raise ValidationError(
+            f"grid.L, physics.mu: mu lambda1 = {mu * lam1!r} is out of the range the "
+            "condition formulas can compute with"
+        )
     f_h = forcing_h_norm(params)
     eta = None
 

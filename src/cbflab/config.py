@@ -94,6 +94,8 @@ def _parse_random_spec(body: str, where: str, problems: list):
         problems.append(f"{where}: random hnorm must be finite, got {spec.hnorm}")
     elif spec.hnorm < 0:
         problems.append(f"{where}: random hnorm must be >= 0, got {spec.hnorm}")
+    elif not spec.hnorm * spec.hnorm < math.inf:  # H norms are sums of squares
+        problems.append(f"{where}: random hnorm must have a finite square, got {spec.hnorm}")
     if spec.kmax is not None:
         if not math.isfinite(spec.kmax):
             problems.append(f"{where}: random kmax must be finite, got {spec.kmax}")
@@ -133,6 +135,8 @@ def parse_field_spec(text: str, where: str, problems: list):
                     f"{where}: mode {k} has {len(amps)} amplitude components"
                 )
                 continue
+            if not sum(abs(a) * abs(a) for a in amps) < math.inf:
+                problems.append(f"{where}: mode {k} amplitude must have a finite squared norm")
             entries.append((k, amps))
         if not entries:
             problems.append(f"{where}: modes spec has no valid entries")
@@ -159,8 +163,8 @@ def build_field(spec, grid: TorusGrid, h_norm_override: float | None = None):
     elif isinstance(spec, ModesSpec):
         total = None
         for k, a in spec.entries:
-            coeffs = single_mode_field(grid, k, a).coeffs
-            total = coeffs if total is None else total + coeffs
+            half = single_mode_field(grid, k, a).half
+            total = half if total is None else total + half
         u = SpectralVelocity(grid, total)
     else:
         raise ValidationError(f"unhandled field spec {spec!r}")
@@ -340,6 +344,8 @@ def validate_config(cfg: RunConfig) -> list:
         p.append("physics.forcing_h_norm: set, but forcing = none has no norm to rescale")
     elif ph.forcing_h_norm is not None and not (0.0 <= ph.forcing_h_norm < math.inf):
         p.append(f"physics.forcing_h_norm: must be finite and >= 0, got {ph.forcing_h_norm}")
+    elif ph.forcing_h_norm is not None and not ph.forcing_h_norm * ph.forcing_h_norm < math.inf:
+        p.append(f"physics.forcing_h_norm: must have a finite square, got {ph.forcing_h_norm}")
     p += random_darcy_violations(nz.mode, ph.darcy)
     if not (1 <= nz.n_samples <= MAX_SAMPLES):
         p.append(f"noise.n_samples: must lie in [1, {MAX_SAMPLES}], got {nz.n_samples}")

@@ -9,8 +9,7 @@ given (initial data, h).
 
 `drive`, the one integrator, builds the deterministic or noise-transformed
 (see `random_pde`) tendency from the parameters and the noise.  Its state
-lives in the rfft half layout (see `grid`); states enter and leave `drive`
-in the full layout.
+is the half layout that `SpectralVelocity.half` stores (see `grid`).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .conditions import ConditionReport, check_singleton_condition
 from .errors import BlowUpError, CFLViolationError, ValidationError
 from .fields import SpectralVelocity, random_field
 from .grid import TorusGrid
-from .operators import h_norm_kernel, lr_norm_kernel, nonlinear_kernel, stokes_kernel
+from .operators import h_distance, lr_norm_kernel, nonlinear_kernel
 from .params import (
     ADDITIVE, MULTIPLICATIVE, EstimateConstants, PhysicsParams, SolverSettings,
     random_darcy_violations, step_count,
@@ -83,9 +82,9 @@ def _tendency(grid, params, noise, ou, t0, f_half):
     alpha = 0.0 if noise is None else noise.ou_alpha
     j0 = None if eps == 0.0 else ou.index(t0)
     if add != 0.0:
-        phi = grid.to_half(noise.phi.coeffs)
+        phi = noise.phi.half
         # eps z times this is the noise's own drive, eps z (alpha Phi - mu A Phi)
-        a_phi = grid.to_half(stokes_kernel(grid, noise.phi.coeffs))
+        a_phi = phi * (grid.lambda1 * grid.half_k2)
         phi_drive = alpha * phi - params.mu * a_phi
 
     def rhs(u, n):
@@ -113,7 +112,7 @@ def _tendency(grid, params, noise, ou, t0, f_half):
 
 def drive(
     grid: TorusGrid,
-    u0_coeffs: np.ndarray,
+    u0_half: np.ndarray,
     params: PhysicsParams,
     noise,
     h: float,
@@ -131,12 +130,11 @@ def drive(
     the ``random_pde.NoiseConfig`` ``noise`` transforms, with the physics
     ``params``; a noise with epsilon != 0 reads its OU values from the path
     ``noise.path`` draws on this run's steps, from index ``t0 / h`` on.
-    ``u0_coeffs`` is full-layout and the loop runs on its half-layout copy.
     The tendency is evaluated at the step's left endpoint for both stages, so
     any time dependence is treated as frozen within a step.  ``record_lr``
     records the L^{r+1} norm at ``params.r``.  Returns a Trajectory whose
-    states (full layout, mirror rebuilt once per snapshot) hold the initial
-    state, every ``sample_every``-th step and the final state.
+    states hold the initial state, every ``sample_every``-th step and the
+    final state.
     """
     SolverSettings.check(
         h=h, snapshot_every=sample_every, cfl_safety=cfl_safety, blowup_guard=blowup_guard
@@ -144,10 +142,10 @@ def drive(
     if n_steps < 1:
         raise ValidationError(f"horizon: need at least one step of h = {h}, got {n_steps}")
     ou = None if noise is None or noise.epsilon == 0.0 else noise.path(t0, t0 + n_steps * h, h)
-    f_half = None if params.forcing is None else grid.to_half(params.forcing.coeffs)
+    f_half = None if params.forcing is None else params.forcing.half
     rhs = _tendency(grid, params, noise, ou, t0, f_half)
     ex = integrating_factor(grid, params.mu, h)
-    u = grid.to_half(u0_coeffs)
+    u = u0_half
     n_rec = n_steps + 1
     t_arr = t0 + h * np.arange(n_rec)
     hn = np.empty(n_rec)
@@ -175,7 +173,7 @@ def drive(
 
     def snapshot(i, c):
         traj.sample_times.append(float(t_arr[i]))
-        traj.states.append(SpectralVelocity(grid, grid.to_full(c)))
+        traj.states.append(SpectralVelocity(grid, c))
 
     record(0, u)
     snapshot(0, u)
@@ -245,7 +243,7 @@ def simulate(
             u0.same_grid(noise.phi)
     return drive(
         grid,
-        u0.coeffs,
+        u0.half,
         params,
         noise,
         h,
@@ -349,7 +347,7 @@ def find_singleton(
 
     seeds = [base_seed + i for i in range(n_probes)]
     logger.info("singleton probes with seeds %s", seeds)
-    states = [probe_field(grid, s).coeffs for s in seeds]
+    states = [probe_field(grid, s) for s in seeds]
 
     chunk_steps = max(1, int(round(check_every / h)))
     log = []
@@ -359,17 +357,17 @@ def find_singleton(
         steps = min(chunk_steps, budget - start)
         drifts = []
         new_states = []
-        for c in states:
+        for u in states:
             traj = drive(
-                grid, c, params, None, h, steps,
+                grid, u.half, params, None, h, steps,
                 cfl_safety=cfl_safety, blowup_guard=blowup_guard,
             )
-            new_states.append(traj.final_state.coeffs)
+            new_states.append(traj.final_state)
             drifts.append(traj.last_drift)
         states = new_states
         t = (start + steps) * h
         dmax = max(
-            h_norm_kernel(grid, states[i] - states[j])
+            h_distance(states[i], states[j])
             for i in range(n_probes)
             for j in range(i + 1, n_probes)
         )
@@ -379,14 +377,13 @@ def find_singleton(
             converged = True
             break
 
-    a_star = SpectralVelocity(grid, states[0])
     if not converged:
         logger.warning(
             "singleton search hit maxT = %s without contraction (dist %.3e, drift %.3e)",
             maxT, log[-1][1], log[-1][2],
         )
     return SingletonResult(
-        a_star=a_star,
+        a_star=states[0],
         converged=converged,
         contraction_log=log,
         condition=condition,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,22 +26,21 @@ class SpectralVelocity:
     """
     A mean-free, divergence-free vector field stored as Fourier coefficients.
 
-    ``coeffs`` has shape (dim, N, ..., N) with the mathematical convention
-    u(x) = sum_k coeffs[:, k] exp(2 pi i k.x / L).  Construction validates the
-    invariants (zero mean, conjugate symmetry, per-mode divergence) and then
-    freezes the array.
+    ``half`` is the rfft half spectrum (dim, N, ..., N/2 + 1) of u(x) =
+    sum_k u_k exp(2 pi i k.x / L) (see `grid`).  The constructor takes it or the
+    full layout (dim, N, ..., N), validates the invariants (zero mean, conjugate
+    symmetry, per-mode divergence) and freezes the half layout.
     """
 
     grid: TorusGrid
-    coeffs: np.ndarray = field(compare=False)
+    half: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         g = self.grid
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (g.dim,) + g.shape:
-            raise ValidationError(
-                f"coeffs shape {c.shape} does not match grid {(g.dim,) + g.shape}"
-            )
+        c = np.asarray(self.half, dtype=complex)
+        full = c.shape == (g.dim,) + g.shape
+        if not full and c.shape != (g.dim,) + g.half_shape:
+            raise ValidationError(f"coefficient shape {c.shape} fits neither layout of the grid")
         peak = float(np.max(np.abs(c))) if c.size else 0.0
         if not np.isfinite(peak):
             raise ValidationError("coefficients must be finite")
@@ -48,21 +48,29 @@ class SpectralVelocity:
         origin = (slice(None),) + (0,) * g.dim
         if np.max(np.abs(c[origin])) > 1.0e-12 * scale:
             raise MeanViolationError("nonzero mean (k = 0) coefficient")
-        c = np.array(c)
-        c[:, ~g.mask] = 0.0
+        c = np.where(g.mask if full else g.half_weight > 0, c, 0.0)
+        half = g.to_half(c)
 
-        mirror = np.conj(g.negate_modes(c))
-        if np.max(np.abs(c - mirror)) > REALITY_TOL * scale:
+        rebuilt = g.to_full(half) if full else half
+        if np.max(np.abs(c - rebuilt)) > REALITY_TOL * scale:
             raise ValidationError("coefficients violate conjugate symmetry")
 
-        div = np.einsum("i...,i...->...", g.k, c)
-        amp = np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
-        bound = DIV_TOL * np.maximum(1.0, amp) * np.maximum(1.0, np.sqrt(g.k2))
+        div = np.einsum("i...,i...->...", g.half_k, half)
+        amp = np.sqrt(np.sum(np.abs(half) ** 2, axis=0))
+        bound = DIV_TOL * np.maximum(1.0, amp) * np.maximum(1.0, np.sqrt(g.half_k2))
         if np.any(np.abs(div) > bound):
             raise ValidationError("coefficients are not divergence-free")
 
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        half.flags.writeable = False
+        object.__setattr__(self, "half", half)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The read-only full layout, built on first use with +0 off the retained lattice
+        (`grid.to_full` mirrors a Nyquist row as 0-0j)."""
+        full = np.where(self.grid.mask, self.grid.to_full(self.half), 0.0)
+        full.flags.writeable = False
+        return full
 
     def same_grid(self, other: "SpectralVelocity") -> None:
         if not self.grid.compatible(other.grid):
@@ -70,7 +78,7 @@ class SpectralVelocity:
 
 
 def zero_velocity(grid: TorusGrid) -> SpectralVelocity:
-    return SpectralVelocity(grid, np.zeros((grid.dim,) + grid.shape, dtype=complex))
+    return SpectralVelocity(grid, np.zeros((grid.dim,) + grid.half_shape, dtype=complex))
 
 
 def hermitianize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -153,7 +161,7 @@ def rescale_to_h(u: SpectralVelocity, target: float) -> SpectralVelocity:
         if target == 0.0:
             return u
         raise ValidationError("cannot rescale the zero field to a nonzero norm")
-    return SpectralVelocity(u.grid, u.coeffs * (target / current))
+    return SpectralVelocity(u.grid, u.half * (target / current))
 
 
 # -- binary snapshot format -------------------------------------------------

@@ -1,13 +1,13 @@
 """Periodic-box discretization and Fourier lattice bookkeeping.
 
-Two coefficient layouts share one lattice.  The full layout ``(dim, N, ..., N)``
-holds every retained mode and is what ``SpectralVelocity``, trajectories and
-``.cbff`` files carry.  The half layout ``(dim, N, ..., N, N/2 + 1)`` is the
-rfft half spectrum: only nonnegative last-axis frequencies are stored, the
-rest being their conjugate mirrors.  The time integrators keep their state in
-the half layout; ``to_half`` and ``to_full`` convert at the API boundary, and
-the mirror is rebuilt only there.  Padding and truncation move the 2^(dim-1)
-frequency corner blocks with contiguous slice copies in either direction.
+Two coefficient layouts share one lattice.  The half layout
+``(dim, N, ..., N, N/2 + 1)`` is the rfft half spectrum: only nonnegative
+last-axis frequencies are stored, the rest being their conjugate mirrors.  It
+is what ``SpectralVelocity`` stores and the time integrators step, so no
+solver converts layouts.  The full layout ``(dim, N, ..., N)`` holds every
+retained mode; ``to_full`` rebuilds it for ``SpectralVelocity.coeffs``, the
+``.cbff`` files and the full-layout kernels.  Padding and truncation move the
+2^(dim-1) frequency corner blocks with contiguous slice copies in either direction.
 
 Transforms to and from a padded m-lattice run through the pruned pair
 ``padded_irfft``/``truncated_rfft``.  The inverse writes the corner blocks
@@ -179,7 +179,7 @@ class TorusGrid:
     # -- layouts -------------------------------------------------------------
 
     def to_half(self, coeffs: np.ndarray) -> np.ndarray:
-        """Half-layout copy of full-layout coefficients.
+        """Half-layout copy of coefficients in either layout.
 
         The zero-frequency plane is symmetrized, so the result is exactly
         Hermitian; on an exactly Hermitian input this changes no bit.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MeanViolationError, ValidationError
+from .errors import ValidationError
 from .fields import SpectralVelocity
 from .grid import DAMPING_PAD, QUADRATIC_PAD, TorusGrid, scratch
 
@@ -55,23 +55,17 @@ def leray_kernel(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def leray_project(grid: TorusGrid, raw: np.ndarray) -> SpectralVelocity:
-    """Project raw coefficients onto mean-free, divergence-free fields.
+    """Project raw full-layout coefficients onto mean-free, divergence-free fields.
 
-    A nonzero k = 0 coefficient is rejected: the projection removes gradient
-    parts, it does not silently discard a mean flow.
+    ``SpectralVelocity`` drops the modes off the retained lattice and raises
+    ``MeanViolationError`` on a mean flow, which the projection does not discard.
     """
     coeffs = np.asarray(raw, dtype=complex)
     if coeffs.shape != (grid.dim,) + grid.shape:
         raise ValidationError(
             f"raw coefficient shape {coeffs.shape} does not match the grid"
         )
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    origin = (slice(None),) + (0,) * grid.dim
-    if np.max(np.abs(coeffs[origin])) > 1.0e-12 * scale:
-        raise MeanViolationError("raw coefficients carry a nonzero mean mode")
-    work = np.array(coeffs)
-    work[:, ~grid.mask] = 0.0
-    return SpectralVelocity(grid, leray_kernel(grid, work))
+    return SpectralVelocity(grid, leray_kernel(grid, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .deterministic import simulate
 from .errors import GridMismatchError, ValidationError
 from .fields import SpectralVelocity, zero_velocity
 from .grid import TorusGrid
-from .operators import h_norm_kernel
+from .operators import h_distance
 from .ou import OUPath, ou_path
 from .params import ADDITIVE, MULTIPLICATIVE, NONE, PhysicsParams, SolverSettings, step_count
 
@@ -78,8 +78,8 @@ class NoiseConfig:
         )
         if self.mode == ADDITIVE and phi is not None:
             g = phi.grid
-            live = np.any(np.abs(phi.coeffs), axis=0)
-            if np.any(live & (np.sqrt(g.k2) > PHI_BAND_FRACTION * g.N)):
+            live = np.any(np.abs(phi.half), axis=0)
+            if np.any(live & (np.sqrt(g.half_k2) > PHI_BAND_FRACTION * g.N)):
                 problems.append(
                     f"noise.phi: must be band-limited to |k| <= N/4 = "
                     f"{PHI_BAND_FRACTION * g.N}"
@@ -100,8 +100,8 @@ def _reconstruct(v: SpectralVelocity, noise: NoiseConfig, z: float) -> SpectralV
     if eps == 0.0:
         return v
     if noise.mode == ADDITIVE:
-        return SpectralVelocity(v.grid, v.coeffs + (eps * z) * noise.phi.coeffs)
-    return SpectralVelocity(v.grid, math.exp(eps * z) * v.coeffs)
+        return SpectralVelocity(v.grid, v.half + (eps * z) * noise.phi.half)
+    return SpectralVelocity(v.grid, math.exp(eps * z) * v.half)
 
 
 @dataclass
@@ -166,7 +166,7 @@ def pullback_sample(
     gap = None
     if validate:
         half = run(n // 2)
-        gap = h_norm_kernel(grid, state.coeffs - half.coeffs)
+        gap = h_distance(state, half)
         converged = gap <= pullback_tol
 
     return PullbackSample(

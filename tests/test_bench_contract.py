@@ -6,7 +6,9 @@ count of every ``drive`` call from its sixth positional argument, and
 ``cbfbench/workloads.py`` calls cbflab by its public names; deleting or
 renaming one of those, or changing a signature those calls use, would
 silently break the benchmark.  ``cbfbench/workloads.py`` also runs ``cbflab
-sweep`` on its ``SWEEP_CONFIG``, which must set only keys that ``sweep`` reads.
+sweep`` on its ``SWEEP_CONFIG``, which must set only keys that ``sweep`` reads,
+and it fingerprints and checks the full-layout ``.coeffs`` of the fields it
+gets back.
 """
 
 import ast
@@ -18,7 +20,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import cbflab.deterministic
-from cbflab import cli
+from cbflab import (
+    NoiseConfig, PhysicsParams, TorusGrid, cli, find_singleton, pullback_sample,
+    single_mode_field,
+)
 from cbflab.config import parse_config
 
 BENCH = Path(__file__).resolve().parents[1] / "cbfbench"
@@ -42,6 +47,16 @@ def test_traced_targets_resolve():
 def test_drive_sixth_positional_parameter_is_n_steps():
     names = list(inspect.signature(cbflab.deterministic.drive).parameters)
     assert names[5] == "n_steps"
+
+
+def test_fields_the_workloads_read_keep_the_full_layout():
+    grid = TorusGrid(dim=2, N=8)
+    forcing = single_mode_field(grid, (1, 0), (0j, 1 + 0j), h_norm=0.05)
+    params = PhysicsParams(mu=1.0, beta=1.0, r=3.0, forcing=forcing)
+    a_star = find_singleton(params, grid, maxT=0.1, h=0.01, check_every=0.05).a_star
+    state = pullback_sample(params, NoiseConfig(mode="none"), 0.1, 0.01, grid=grid).state
+    for u in (forcing, a_star, state):
+        assert u.coeffs.shape == (grid.dim,) + grid.shape
 
 
 def _cbflab_calls(tree):

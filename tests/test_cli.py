@@ -263,35 +263,53 @@ def test_forcing_h_norm_applies_to_every_spec(tmp_path, kind):
     assert report["grashof"] == pytest.approx(0.01, rel=1e-12)
 
 
+_MU_LAMBDA1_ERROR = "error: grid.L, physics.mu: "
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "name, payload",
+    "name, payload, start",
     [
-        ("manifest.json", b'{"config_text": "[grid]\\n'),  # not valid JSON
-        ("latin1.cfg", "[grid]\ndim = 2\n# déjà vu\n".encode("latin-1")),  # not UTF-8
-        ("missing.cfg", BASE.replace("modes k=(1,0) a=(0j,(1+0j))", "file /nonexistent/f.cbff").encode()),
-        ("huge.cfg", BASE.replace("mu = 1.0", "mu = 1e200").encode()),  # mu**2 overflows
+        ("manifest.json", b'{"config_text": "[grid]\\n', "error: "),  # not valid JSON
+        ("latin1.cfg", "[grid]\ndim = 2\n# déjà vu\n".encode("latin-1"), "error: "),  # not UTF-8
+        ("missing.cfg", BASE.replace("modes k=(1,0) a=(0j,(1+0j))", "file /nonexistent/f.cbff").encode(),
+         "error: field file /nonexistent/f.cbff: "),
+        ("huge.cfg", BASE.replace("mu = 1.0", "mu = 1e200").encode(),  # mu**2 overflows
+         _MU_LAMBDA1_ERROR),
         ("eta3.cfg", BASE.replace("dim = 2", "dim = 3").replace("r = 3.0", "r = 3.0000000001")
-         .replace("k=(1,0) a=(0j,(1+0j))", "k=(1,0,0) a=(0j,(1+0j),0j)").encode()),
-        ("nan-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = nan").encode()),
-        ("neg-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = -1").encode()),
-        ("inf-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = inf").encode()),
-        ("nan-mode.cfg", BASE.replace("a=(0j,(1+0j))", "a=(nan,nanj)").encode()),
-        ("unforced.cfg", BASE.replace("modes k=(1,0) a=(0j,(1+0j))", "none").encode()),
-        ("seeds.cfg", (BASE + "\n[noise]\nn_samples = 2000000\n").encode()),
+         .replace("k=(1,0) a=(0j,(1+0j))", "k=(1,0,0) a=(0j,(1+0j),0j)").encode(),
+         "error: floating-point range exceeded "),
+        ("nan-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = nan").encode(),
+         "error: physics.forcing_h_norm: "),
+        ("neg-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = -1").encode(),
+         "error: physics.forcing_h_norm: "),
+        ("inf-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = inf").encode(),
+         "error: physics.forcing_h_norm: "),
+        ("big-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = 1e300").encode(),
+         "error: physics.forcing_h_norm: "),
+        ("nan-mode.cfg", BASE.replace("a=(0j,(1+0j))", "a=(nan,nanj)").encode(),
+         "error: physics.forcing: "),
+        ("unforced.cfg", BASE.replace("modes k=(1,0) a=(0j,(1+0j))", "none").encode(),
+         "error: physics.forcing_h_norm: "),
+        ("seeds.cfg", (BASE + "\n[noise]\nn_samples = 2000000\n").encode(), "error: noise.n_samples: "),
+        *[(f"L{length}.cfg", BASE.replace("N = 16", f"N = 8\nL = {length}").encode(),
+           _MU_LAMBDA1_ERROR) for length in ("1e-150", "1e-100", "1e100", "1e150")],
     ],
     ids=[
         "bad-json", "not-utf8", "missing-field-file", "mu-overflow", "eta3-overflow",
         "nan-forcing-h-norm", "negative-forcing-h-norm", "inf-forcing-h-norm",
-        "nan-forcing-mode", "forcing-h-norm-without-forcing", "too-many-noise-seeds",
+        "overflowing-forcing-h-norm", "nan-forcing-mode", "forcing-h-norm-without-forcing",
+        "too-many-noise-seeds", "L-1e-150", "L-1e-100", "L-1e100", "L-1e150",
     ],
 )
-def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, name, payload):
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, name, payload, start):
+    # one error line, no traceback, and no numpy RuntimeWarning on the way
     cfg = tmp_path / name
     cfg.write_bytes(payload)
     code = main(["check-conditions", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith(start) and err.count("\n") == 1
     assert "Traceback" not in err
 
 

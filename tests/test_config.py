@@ -231,6 +231,8 @@ def test_a_key_set_twice_takes_its_later_value():
         ("random seed=1 kmax=-5", "random kmax must be >= 1, got -5.0"),
         ("random seed=1 kmax=0.5", "random kmax must be >= 1, got 0.5"),
         ("random seed=1 hnorm=-1", "random hnorm must be >= 0, got -1.0"),
+        ("random seed=1 hnorm=1e300", "random hnorm must have a finite square, got 1e+300"),
+        ("modes k=(1,0) a=(0j,1e300j)", "mode (1, 0) amplitude must have a finite squared norm"),
         ("randomize seed=1", "unknown field spec 'randomize seed=1'"),
         ("filefoo", "unknown field spec 'filefoo'"),
     ],
@@ -319,7 +321,7 @@ _NONE = NoiseConfig(mode="none")
         ("[solver]\ncfl_safety = 1.5",
          lambda: simulate(_U0, _P, 0.02, 0.01, noise=_NONE, t0=-0.02, cfl_safety=1.5)),
         ("[solver]\nblowup_guard = -1",
-         lambda: drive(_G, _U0.coeffs, _P, None, 0.01, 2, blowup_guard=-1.0)),
+         lambda: drive(_G, _U0.half, _P, None, 0.01, 2, blowup_guard=-1.0)),
         ("[solver]\ntol = 0", lambda: find_singleton(_P, _G, tol=0.0, maxT=0.1)),
         ("[solver]\npullback_tol = -1",
          lambda: pullback_sample(_P, _NONE, 0.02, 0.01, grid=_G, validate=True, pullback_tol=-1.0)),
@@ -354,7 +356,7 @@ _NONE = NoiseConfig(mode="none")
              _P, _NONE, 0.02, 0.01, grid=_G, validate=True, pullback_tol=math.inf
          )),
         ("[solver]\nblowup_guard = inf",
-         lambda: drive(_G, _U0.coeffs, _P, None, 0.01, 2, blowup_guard=math.inf)),
+         lambda: drive(_G, _U0.half, _P, None, 0.01, 2, blowup_guard=math.inf)),
     ],
     ids=[
         "grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2",

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from cbflab import (
     MeanViolationError,
+    PhysicsParams,
     SpectralVelocity,
     TorusGrid,
     ValidationError,
     h_norm,
     random_field,
     read_field,
+    simulate,
     single_mode_field,
     write_field,
     zero_velocity,
@@ -60,11 +62,46 @@ def test_velocity_rejects_divergent(grid2d):
         SpectralVelocity(grid2d, c)
 
 
-def test_velocity_rejects_asymmetric(grid2d):
-    c = np.zeros((2,) + grid2d.shape, dtype=complex)
-    c[1, 1, 0] = 1.0  # no conjugate partner at -k
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize(
+    "shape,index",
+    [("shape", (1, 1, 0)), ("shape", (1, 1, 3)), ("half_shape", (1, 1, 0))],
+    ids=["full-zero-plane", "full-off-plane", "half-zero-plane"],
+)
+def test_velocity_rejects_asymmetric(grid2d, shape, index):
+    c = np.zeros((2,) + getattr(grid2d, shape), dtype=complex)
+    c[index] = 1.0  # no conjugate partner at -k
+    with pytest.raises(ValidationError, match="conjugate symmetry"):
         SpectralVelocity(grid2d, c)
+
+
+_PHYSICS = PhysicsParams(mu=1.0, beta=1.0, r=3.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g, path: random_field(g, 3, h_norm=0.6),
+        lambda g, path: single_mode_field(g, (2, -1), (1.0, 0.3j)),
+        lambda g, path: read_field(path),
+        lambda g, path: simulate(random_field(g, 5), _PHYSICS, T=0.05, h=0.01).final_state,
+    ],
+    ids=["random_field", "single_mode_field", "read_field", "drive-snapshot"],
+)
+def test_either_layout_builds_the_same_field(tmp_path, grid2d_small, build):
+    path = tmp_path / "f.cbff"
+    write_field(path, random_field(grid2d_small, 4, h_norm=0.9))
+    u = build(grid2d_small, path)
+    assert u.half.shape == (2,) + grid2d_small.half_shape
+    assert u.coeffs.shape == (2,) + grid2d_small.shape
+    for layout in (u.half, u.coeffs):
+        v = SpectralVelocity(grid2d_small, layout)
+        assert v.half.tobytes() == u.half.tobytes()
+        assert v.coeffs.tobytes() == u.coeffs.tobytes()
+        for arr in (v.half, v.coeffs):
+            assert not arr.flags.writeable
+    # +0 off the retained lattice, so .cbff files keep their sign bits
+    off = u.coeffs[:, ~grid2d_small.mask]
+    assert not np.any(np.signbit(off.real) | np.signbit(off.imag))
 
 
 def test_hermitianize_makes_real_fields(grid2d):

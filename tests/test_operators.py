@@ -345,7 +345,7 @@ def test_nonlinear_kernel_matches_convective_reference(dim, n, r, form):
 def test_pruned_transforms_match_numpy_bitwise(dim, n, dealias):
     # at dealias >= 2 the advection and damping lattices coincide
     g = TorusGrid(dim=dim, N=n, dealias_factor=dealias)
-    u = g.to_half(random_field(g, 5, h_norm=1.3).coeffs)
+    u = random_field(g, 5, h_norm=1.3).half
     axes = tuple(range(-dim, 0))
     for m in {n, g.padded_size(max(dealias, 1.5)), g.padded_size(max(dealias, 2.0))}:
         want = np.fft.irfftn(g.pad_half(u, m), s=(m,) * dim, axes=axes)
@@ -418,7 +418,7 @@ def test_one_scratch_serves_every_grid():
 
 def test_warm_nonlinear_kernel_allocation_is_bounded():
     g = TorusGrid(dim=3, N=16)
-    u = g.to_half(random_field(g, 7, h_norm=1.5).coeffs)
+    u = random_field(g, 7, h_norm=1.5).half
     nonlinear_kernel(g, u, 1.0, 1.0, 3.0)
     tracemalloc.start()
     try:
