@@ -2,8 +2,10 @@
 """Per-call cost of the fused nonlinear tendency, ``operators.nonlinear_kernel``.
 
 For 2D N=32, 2D N=64 and 3D N=16, each at r = 1 and r = 3, prints the
-microseconds per call, the tracemalloc peak of one warm call and the minor
-page faults (``ru_minflt``) per call.  Every case is warmed by one call first.
+transform path the lattice takes (``dense`` DFT products or pruned ``fft``
+passes, see ``grid.DENSE_MAX``), the microseconds per call, the
+tracemalloc peak of one warm call and the minor page faults (``ru_minflt``)
+per call.  Every case is warmed by one call first.
 
 Usage: python scripts/kernel_timing.py [repeats]
 """
@@ -42,6 +44,7 @@ def measure(dim: int, n: int, r: float, repeats: int) -> dict:
     finally:
         tracemalloc.stop()
     return {
+        "path": "dense" if grid.dense else "fft",
         "us": 1.0e6 * elapsed / repeats,
         "peak_bytes": peak,
         "faults": faults / repeats,
@@ -51,12 +54,12 @@ def measure(dim: int, n: int, r: float, repeats: int) -> dict:
 def main():
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     print(f"nonlinear_kernel, {repeats} calls per case")
-    print(f"{'case':<14}{'us/call':>12}{'peak KB':>12}{'faults/call':>14}")
+    print(f"{'case':<14}{'path':>10}{'us/call':>12}{'peak KB':>12}{'faults/call':>14}")
     for dim, n in CASES:
         for r in EXPONENTS:
             row = measure(dim, n, r, repeats)
             print(
-                f"{f'{dim}D N={n} r={r:g}':<14}{row['us']:>12.1f}"
+                f"{f'{dim}D N={n} r={r:g}':<14}{row['path']:>10}{row['us']:>12.1f}"
                 f"{row['peak_bytes'] / 1024:>12.1f}{row['faults']:>14.2f}"
             )
 

@@ -10,7 +10,8 @@ full-layout `bilinear_kernel` and `damping_kernel` are thin wrappers over the
 same half-layout pieces.
 
 The padded fields, products and damping weights live in the one process
-scratch (`grid.scratch`) and go through the grid's pruned transform pair (see
+scratch (`grid.scratch`) and go through the grid's transform pair, dense DFT
+products on small lattices and pruned FFT passes on larger ones (see
 `grid`), so a warm call allocates only its half-layout results, which never
 alias the scratch.  The kernels are therefore not reentrant; cbflab runs one
 thread per process.
@@ -290,5 +291,7 @@ def lr_norm(u: SpectralVelocity, r: float) -> float:
 
 
 def h_distance(a: SpectralVelocity, b: SpectralVelocity) -> float:
+    """|a - b|_H, from the half layouts: builds no cached ``.coeffs`` on either field."""
     a.same_grid(b)
-    return h_norm_kernel(a.grid, a.coeffs - b.coeffs)
+    g = a.grid
+    return h_norm_kernel(g, np.where(g.mask, g.to_full(a.half - b.half), 0.0))

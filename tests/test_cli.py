@@ -578,8 +578,8 @@ def _run_module(cfg, out, **env):
 
 @pytest.mark.parametrize("knob", ["output-directory", "CBF_LOG", "process"])
 def test_knobs_outside_the_contract_keep_every_byte(tmp_path, monkeypatch, knob):
-    # the reproducibility contract: only the config, --seed-offset and the
-    # numpy version decide the bytes of a run, manifest.json included
+    # the reproducibility contract: only the config, --seed-offset, the numpy
+    # version and the BLAS kernel decide the bytes of a run, manifest.json included
     cfg = write(tmp_path, "repro.cfg", REPRODUCIBLE)
     first, second = tmp_path / "first", tmp_path / "nested" / "second"
     if knob == "output-directory":

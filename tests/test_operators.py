@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbflab
 from cbflab import (
     MeanViolationError,
     SpectralVelocity,
@@ -28,6 +33,7 @@ from cbflab.operators import (
     bilinear_kernel,
     damping_kernel,
     h_distance,
+    h_norm_kernel,
     nonlinear_kernel,
 )
 
@@ -336,24 +342,111 @@ def test_nonlinear_kernel_matches_convective_reference(dim, n, r, form):
 
 
 # ---------------------------------------------------------------------------
-# Pruned padded transforms and the process scratch
+# The padded transform pair: pruned FFT passes and dense DFT products
 # ---------------------------------------------------------------------------
+
+def _transform_cases(dim, n, dealias):
+    """(grid, half state, m) for every padded lattice the kernels use."""
+    # at dealias >= 2 the advection and damping lattices coincide
+    g = TorusGrid(dim=dim, N=n, dealias_factor=dealias)
+    u = random_field(g, 5, h_norm=1.3).half
+    for m in sorted({n, g.padded_size(max(dealias, 1.5)), g.padded_size(max(dealias, 2.0))}):
+        yield g, u, m
+
+
+def _numpy_pair(g, u, m):
+    """``irfftn(pad_half(u))``, products made from it and ``truncate_half(rfftn(products))``."""
+    axes = tuple(range(-g.dim, 0))
+    values = np.fft.irfftn(g.pad_half(u, m), s=(m,) * g.dim, axes=axes)
+    products = values * values[::-1]  # a full spectrum for the truncation to cut
+    return values, products, g.truncate_half(np.fft.rfftn(products, axes=axes), m)
+
 
 @pytest.mark.parametrize("dealias", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pruned_transforms_match_numpy_bitwise(dim, n, dealias):
-    # at dealias >= 2 the advection and damping lattices coincide
-    g = TorusGrid(dim=dim, N=n, dealias_factor=dealias)
-    u = random_field(g, 5, h_norm=1.3).half
-    axes = tuple(range(-dim, 0))
-    for m in {n, g.padded_size(max(dealias, 1.5)), g.padded_size(max(dealias, 2.0))}:
-        want = np.fft.irfftn(g.pad_half(u, m), s=(m,) * dim, axes=axes)
-        got = g.padded_irfft(u, m, np.empty_like(want))
+    for g, u, m in _transform_cases(dim, n, dealias):
+        want, values, spectrum = _numpy_pair(g, u, m)
+        got = g._pruned_irfft(u, m, np.empty_like(want))
         assert got.tobytes() == want.tobytes(), m
-        values = want * want[::-1]  # a full spectrum for the truncation to cut
-        want = g.truncate_half(np.fft.rfftn(values, axes=axes), m)
-        assert g.truncated_rfft(values, m).tobytes() == want.tobytes(), m
+        assert g._pruned_rfft(values, m).tobytes() == spectrum.tobytes(), m
+
+
+@pytest.mark.parametrize("dealias", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dense_transforms_match_numpy(dim, n, dealias):
+    # measured worst case 1.3e-15 of the largest entry
+    for g, u, m in _transform_cases(dim, n, dealias):
+        want, values, spectrum = _numpy_pair(g, u, m)
+        got = g._dense_irfft(u, m, np.empty_like(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), m
+        got = g._dense_rfft(values, m)
+        assert got.shape == spectrum.shape
+        assert np.max(np.abs(got - spectrum)) <= 1e-13 * np.max(np.abs(spectrum)), m
+        off = np.ones(g.half_shape, dtype=bool)
+        off[g.half_weight > 0] = False
+        off[(0,) * g.dim] = False  # the mean mode is retained by the transforms
+        assert not np.any(got[:, off])  # +0 or -0 off the retained lattice, like the truncation
+
+
+@pytest.mark.parametrize(
+    "dim,n,dealias,path",
+    [
+        (2, 32, 1.5, "dense"),  # m = 48 and 64
+        (2, 32, 3.0, "dense"),  # m = 96 on both lattices
+        (3, 16, 1.5, "dense"),  # m = 24 and 32
+        (3, 32, 1.5, "dense"),  # m = 48 and 64
+        (2, 48, 1.5, "pruned"),  # m = 72 and 96
+        (2, 64, 1.5, "pruned"),  # m = 96 and 128
+        (3, 48, 1.0, "pruned"),  # m = 72 and 96
+    ],
+)
+def test_public_pair_takes_the_path_the_lattice_picks(dim, n, dealias, path):
+    g = TorusGrid(dim=dim, N=n, dealias_factor=dealias)
+    assert g.dense == (path == "dense")
+    u = random_field(g, 9, h_norm=1.1).half
+    other = "pruned" if path == "dense" else "dense"
+    for m in {g.padded_size(max(dealias, 1.5)), g.padded_size(max(dealias, 2.0))}:
+        out = {p: getattr(g, f"_{p}_irfft")(u, m, np.empty((dim,) + (m,) * dim))
+               for p in (path, other)}
+        got = g.padded_irfft(u, m, np.empty((dim,) + (m,) * dim))
+        assert got.tobytes() == out[path].tobytes() != out[other].tobytes()
+        values = got * got[::-1]
+        spectra = {p: getattr(g, f"_{p}_rfft")(values, m).tobytes() for p in (path, other)}
+        assert g.truncated_rfft(values, m).tobytes() == spectra[path] != spectra[other]
+
+
+_THREAD_PROBE = """
+import hashlib
+from cbflab import TorusGrid, random_field
+from cbflab.operators import nonlinear_kernel
+for dim, n in {lattices}:
+    g = TorusGrid(dim=dim, N=n)
+    u = random_field(g, 17, h_norm=1.5).half
+    for r in (1.0, 3.0):
+        tendency, vmax = nonlinear_kernel(g, u, 0.9, 0.7, r)
+        print(dim, n, r, hashlib.sha256(tendency.tobytes()).hexdigest(), vmax.hex())
+"""
+
+
+def test_dense_kernels_do_not_depend_on_the_blas_thread_count():
+    lattices = [(2, 16), (2, 32), (2, 40), (3, 8), (3, 16), (3, 32)]
+    assert all(TorusGrid(dim=d, N=n).dense for d, n in lattices)
+    package_root = str(Path(cbflab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    lines = []
+    for threads in ("1", "2"):
+        # the BLAS reads its thread count when numpy is first imported
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE.format(lattices=lattices)],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            check=True, capture_output=True, text=True, timeout=60,
+        )
+        lines.append(done.stdout.splitlines())
+    assert len(lines[0]) == 2 * len(lattices)
+    assert lines[0] == lines[1]
 
 
 def _kernel_results(g, r):
@@ -468,3 +561,13 @@ def test_h_distance_symmetric(grid2d):
     a, b = random_field(grid2d, 1), random_field(grid2d, 2)
     assert h_distance(a, b) == h_distance(b, a)
     assert h_distance(a, a) == 0.0
+
+
+@pytest.mark.parametrize("dim,n", [(2, 8), (2, 32), (3, 8), (3, 16)])
+def test_h_distance_reads_the_half_layout(dim, n):
+    g = TorusGrid(dim=dim, N=n)
+    a, b = random_field(g, 31, h_norm=1.4), random_field(g, 32, h_norm=0.3)
+    got = h_distance(a, b)
+    # no full layout is cached on either field
+    assert "coeffs" not in vars(a) and "coeffs" not in vars(b)
+    assert got == h_norm_kernel(g, a.coeffs - b.coeffs)

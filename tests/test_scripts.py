@@ -42,8 +42,10 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     assert [row.split()[:3] for row in rows] == [
         [f"{dim}D", f"N={n}", f"r={r:g}"] for dim, n in script.CASES for r in script.EXPONENTS
     ]
-    for row in rows:
-        us, peak_kb, faults = map(float, row.split()[3:])
+    for row, (dim, n) in zip(rows, [c for c in script.CASES for _ in script.EXPONENTS]):
+        path, *numbers = row.split()[3:]
+        assert path == {(2, 32): "dense", (2, 64): "fft", (3, 16): "dense"}[dim, n]
+        us, peak_kb, faults = map(float, numbers)
         assert us > 0.0 and peak_kb > 0.0 and faults >= 0.0
 
 
