@@ -53,50 +53,3 @@ from .random_pde import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowUpError",
-    "CBFError",
-    "CFLViolationError",
-    "ConditionReport",
-    "EstimateConstants",
-    "GridMismatchError",
-    "MeanViolationError",
-    "NoiseConfig",
-    "NonConvergenceError",
-    "OUPath",
-    "PhysicsParams",
-    "PullbackSample",
-    "RateFit",
-    "SpectralVelocity",
-    "SweepRecord",
-    "TorusGrid",
-    "Trajectory",
-    "ValidationError",
-    "WienerPath",
-    "bilinear_B",
-    "check_singleton_condition",
-    "damping_C",
-    "energy_residual",
-    "find_singleton",
-    "fit_rate",
-    "grashof",
-    "h_norm",
-    "inner_h",
-    "leray_project",
-    "lr_norm",
-    "ou_from_wiener",
-    "ou_path",
-    "probe_field",
-    "pullback_sample",
-    "random_field",
-    "rate_sweep",
-    "read_field",
-    "sample_wiener",
-    "simulate",
-    "single_mode_field",
-    "stokes_apply",
-    "trilinear_b",
-    "v_norm",
-    "write_field",
-    "zero_velocity",
-]

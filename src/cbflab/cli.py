@@ -18,7 +18,7 @@ import numpy as np
 from .conditions import check_singleton_condition
 from .config import RunConfig, build_field, parse_config, serialize_config
 from .deterministic import energy_residual, find_singleton, simulate
-from .errors import BlowUpError, CBFError, NonConvergenceError, ValidationError
+from .errors import BlowUpError, CBFError, NonConvergenceError, ValidationError, value_range
 from .experiments import SweepRecord, mean_inversions, rate_sweep
 from .fields import write_field, zero_velocity
 from .grid import TorusGrid
@@ -69,23 +69,24 @@ def _load_config_text(path: str) -> str:
     return text
 
 
-def _materialize(cfg: RunConfig):
+def _materialize(cfg: RunConfig, *specs):
+    """The grid, the physics and the field (or None) of each spec path in ``specs``."""
     grid = TorusGrid(**asdict(cfg.grid))
-    forcing = build_field(cfg.physics.forcing, grid, cfg.physics.forcing_h_norm)
+
+    def build(where, h_norm=None):
+        section, key = where.split(".")
+        with value_range(where):
+            return build_field(getattr(getattr(cfg, section), key), grid, h_norm)
+
     params = PhysicsParams(
         mu=cfg.physics.mu, beta=cfg.physics.beta, r=cfg.physics.r,
-        darcy=cfg.physics.darcy, forcing=forcing,
+        darcy=cfg.physics.darcy, forcing=build("physics.forcing", cfg.physics.forcing_h_norm),
     )
-    return grid, params
+    return (grid, params, *map(build, specs))
 
 
 def _constants(cfg: RunConfig) -> EstimateConstants:
     return EstimateConstants(**asdict(cfg.constants))
-
-
-def _initial_state(cfg, grid):
-    u0 = build_field(cfg.solver.initial, grid)
-    return zero_velocity(grid) if u0 is None else u0
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +104,8 @@ def _cmd_check_conditions(cfg, out_dir, args):
 
 
 def _cmd_simulate(cfg, out_dir, args):
-    grid, params = _materialize(cfg)
-    u0 = _initial_state(cfg, grid)
+    grid, params, u0 = _materialize(cfg, "solver.initial")
+    u0 = zero_velocity(grid) if u0 is None else u0
     snap = cfg.output.snapshot_every
     traj = simulate(
         u0, params, cfg.solver.T, cfg.solver.h,
@@ -155,15 +156,15 @@ def _cmd_singleton(cfg, out_dir, args):
 
 
 def _cmd_pullback(cfg, out_dir, args):
-    grid, params = _materialize(cfg)
+    grid, params, phi, v0 = _materialize(cfg, "noise.phi", "solver.initial")
     noise = NoiseConfig(
         mode=cfg.noise.mode, epsilon=cfg.noise.epsilon,
-        phi=build_field(cfg.noise.phi, grid), ou_alpha=cfg.noise.ou_alpha,
+        phi=phi, ou_alpha=cfg.noise.ou_alpha,
         seed=cfg.noise.seed + args.seed_offset,
     )
     sample = pullback_sample(
         params, noise, cfg.solver.t_pull, cfg.solver.h,
-        grid=grid, v0=build_field(cfg.solver.initial, grid),
+        grid=grid, v0=v0,
         validate=True, pullback_tol=cfg.solver.pullback_tol,
         cfl_safety=cfg.solver.cfl_safety, blowup_guard=cfg.solver.blowup_guard,
     )
@@ -190,11 +191,10 @@ def _cmd_pullback(cfg, out_dir, args):
 
 
 def _cmd_sweep(cfg, out_dir, args):
-    grid, params = _materialize(cfg)
+    grid, params, phi = _materialize(cfg, "noise.phi")
     eps_grid = cfg.noise.eps_grid
     if not eps_grid:
         raise ValidationError("noise.eps_grid: sweep requires an epsilon grid")
-    phi = build_field(cfg.noise.phi, grid)
     result = rate_sweep(
         params, grid, cfg.noise.mode, eps_grid, cfg.noise.n_samples,
         cfg.solver.t_pull, cfg.solver.h,
@@ -454,8 +454,8 @@ def main(argv=None) -> int:
             print(f"error: {line}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_VALIDATION)
     except ArithmeticError as exc:
-        # Python float arithmetic raises on overflow and on a zero divisor, e.g.
-        # mu**2 at mu = 1e200 or the 3D eta3 power just above r = 3
+        # what errors.value_range does not cover, e.g. a step's math.exp(-eps z)
+        # in a multiplicative pullback at noise.ou_alpha = 1e-300
         print(
             f"error: floating-point range exceeded ({exc}); a config value is "
             "too large or too small to compute with",

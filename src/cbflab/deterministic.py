@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import ConditionReport, check_singleton_condition
-from .errors import BlowUpError, CFLViolationError, ValidationError
+from .errors import BlowUpError, CFLViolationError, ValidationError, value_range
 from .fields import SpectralVelocity, random_field
 from .grid import TorusGrid
 from .operators import h_distance, lr_norm_kernel, nonlinear_kernel
@@ -144,7 +144,12 @@ def drive(
     ou = None if noise is None or noise.epsilon == 0.0 else noise.path(t0, t0 + n_steps * h, h)
     f_half = None if params.forcing is None else params.forcing.half
     rhs = _tendency(grid, params, noise, ou, t0, f_half)
-    ex = integrating_factor(grid, params.mu, h)
+    with value_range("grid.L", "physics.mu", "physics.forcing", "solver.h"):
+        ex = integrating_factor(grid, params.mu, h)
+        # Parseval weights of the half layout for |u|_H^2, |u|_V^2 and (f, u)
+        h_weight = grid.volume() * grid.half_weight
+        v_weight = (grid.lambda1 * grid.half_k2) * h_weight
+        f_weight = None if f_half is None else h_weight * f_half
     u = u0_half
     n_rec = n_steps + 1
     t_arr = t0 + h * np.arange(n_rec)
@@ -154,11 +159,6 @@ def drive(
     lr = np.empty(n_rec) if record_lr else None
 
     traj = Trajectory(h=h, t=t_arr, h_norm=hn, v_norm=vn, f_dot_u=fu, lr_norm=lr)
-
-    # Parseval weights of the half layout for |u|_H^2, |u|_V^2 and (f, u)
-    h_weight = grid.volume() * grid.half_weight
-    v_weight = (grid.lambda1 * grid.half_k2) * h_weight
-    f_weight = None if f_half is None else h_weight * f_half
 
     def power(c):
         return np.sum(c.real**2 + c.imag**2, axis=0)
@@ -175,31 +175,33 @@ def drive(
         traj.sample_times.append(float(t_arr[i]))
         traj.states.append(SpectralVelocity(grid, c))
 
-    record(0, u)
-    snapshot(0, u)
     dx_limit = cfl_safety * grid.dx
     prev = None
-    for n in range(n_steps):
-        g1, vmax = rhs(u, n)
-        if vmax > 0.0 and h > dx_limit / vmax:
-            raise CFLViolationError(
-                f"step {h} exceeds CFL bound {dx_limit / vmax:.3e} "
-                f"at t = {t_arr[n]:.6g} (max |u| = {vmax:.6g})"
-            )
-        mid = ex * (u + h * g1)
-        g2, _ = rhs(mid, n)
-        prev = u
-        u = ex * (u + (0.5 * h) * g1) + (0.5 * h) * g2
-        i = n + 1
-        record(i, u)
-        if not np.isfinite(hn[i]) or hn[i] > blowup_guard:
-            raise BlowUpError(
-                f"blow-up detected at t = {t_arr[i]:.6g}: |u|_H = {hn[i]:.6g}",
-                t=float(t_arr[i]),
-                h_norm=float(hn[i]),
-            )
-        if sample_every and i % sample_every == 0 and i != n_steps:
-            snapshot(i, u)
+    # an overflow on the way to a blow-up shows as the non-finite |u|_H below
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, u)
+        snapshot(0, u)
+        for n in range(n_steps):
+            g1, vmax = rhs(u, n)
+            if vmax > 0.0 and h > dx_limit / vmax:
+                raise CFLViolationError(
+                    f"step {h} exceeds CFL bound {dx_limit / vmax:.3e} "
+                    f"at t = {t_arr[n]:.6g} (max |u| = {vmax:.6g})"
+                )
+            mid = ex * (u + h * g1)
+            g2, _ = rhs(mid, n)
+            prev = u
+            u = ex * (u + (0.5 * h) * g1) + (0.5 * h) * g2
+            i = n + 1
+            record(i, u)
+            if not np.isfinite(hn[i]) or hn[i] > blowup_guard:
+                raise BlowUpError(
+                    f"blow-up detected at t = {t_arr[i]:.6g}: |u|_H = {hn[i]:.6g}",
+                    t=float(t_arr[i]),
+                    h_norm=float(hn[i]),
+                )
+            if sample_every and i % sample_every == 0 and i != n_steps:
+                snapshot(i, u)
     snapshot(n_steps, u)
     if prev is not None:
         traj.last_drift = float(np.sqrt(np.vdot(h_weight, power(u - prev)))) / h
@@ -269,15 +271,17 @@ def energy_residual(traj: Trajectory, params: PhysicsParams) -> np.ndarray:
     with the time integrals by trapezoidal quadrature on the step grid."""
     if params.beta != 0.0 and traj.lr_norm is None:
         raise ValidationError("trajectory lacks the L^{r+1} record needed for beta > 0")
-    lhs = traj.h_norm**2 + 2.0 * params.mu * _cumtrapz(traj.v_norm**2, traj.h)
-    if params.beta != 0.0:
-        lhs = lhs + 2.0 * params.beta * _cumtrapz(
-            traj.lr_norm ** (params.r + 1.0), traj.h
-        )
-    if params.darcy != 0.0:
-        lhs = lhs + 2.0 * params.darcy * _cumtrapz(traj.h_norm**2, traj.h)
-    rhs = traj.h_norm[0] ** 2 + 2.0 * _cumtrapz(traj.f_dot_u, traj.h)
-    return lhs - rhs
+    # mu * (2 int), not 2 mu * int: 0 at t = 0 even for mu = 1e308; an overflow reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = traj.h_norm**2 + params.mu * (2.0 * _cumtrapz(traj.v_norm**2, traj.h))
+        if params.beta != 0.0:
+            lhs = lhs + params.beta * (2.0 * _cumtrapz(
+                traj.lr_norm ** (params.r + 1.0), traj.h
+            ))
+        if params.darcy != 0.0:
+            lhs = lhs + params.darcy * (2.0 * _cumtrapz(traj.h_norm**2, traj.h))
+        rhs = traj.h_norm[0] ** 2 + 2.0 * _cumtrapz(traj.f_dot_u, traj.h)
+        return lhs - rhs
 
 
 def probe_field(grid: TorusGrid, seed: int) -> SpectralVelocity:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scope of the range rule."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class CBFError(Exception):
@@ -25,6 +29,19 @@ class ValidationError(CBFError):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+@contextmanager
+def value_range(*paths):
+    """Raise each floating-point overflow, invalid operation or zero divisor in the
+    block, numpy's or Python's, as one ValidationError naming the config ``paths``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(
+            f"{', '.join(paths)}: out of the range cbflab computes with ({exc.args[-1]})"
+        ) from exc
 
 
 class CFLViolationError(CBFError):

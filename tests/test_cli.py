@@ -183,6 +183,29 @@ def test_blowup_exit_code(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "dim, value, change",
+    [
+        (2, "forcing_h_norm = 0.2", "forcing_h_norm = 1e150"),
+        (2, "beta = 1.0", "beta = 1e300"),
+        (3, "forcing_h_norm = 0.2", "forcing_h_norm = 1e80"),
+    ],
+)
+def test_blowup_prints_only_its_error_line(tmp_path, capsys, dim, value, change):
+    # the step loop overflows on its way to the non-finite |u|_H it reports
+    text = BASE.replace("N = 16", "N = 8").replace(value, change)
+    if dim == 3:
+        text = text.replace("dim = 2", "dim = 3").replace(
+            "k=(1,0) a=(0j,(1+0j))", "k=(1,0,0) a=(0j,(1+0j),0j)"
+        )
+    cfg = write(tmp_path, "b.cfg", text + "\n[solver]\nh = 0.01\nT = 0.02\n")
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: blow-up detected") and err.count("\n") == 1
+
+
 def test_simulate_snapshot_cadence(tmp_path):
     cfg = write(
         tmp_path, "snap.cfg",
@@ -263,7 +286,9 @@ def test_forcing_h_norm_applies_to_every_spec(tmp_path, kind):
     assert report["grashof"] == pytest.approx(0.01, rel=1e-12)
 
 
-_MU_LAMBDA1_ERROR = "error: grid.L, physics.mu: "
+#: The range line of the condition formulas, and of the 3D r > 3 ones.
+_CONDITION_RANGE = "error: grid.L, physics.mu, physics.forcing: out of the range "
+_ETA3_RANGE = _CONDITION_RANGE.replace("forcing:", "forcing, physics.beta, physics.r:")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -275,10 +300,20 @@ _MU_LAMBDA1_ERROR = "error: grid.L, physics.mu: "
         ("missing.cfg", BASE.replace("modes k=(1,0) a=(0j,(1+0j))", "file /nonexistent/f.cbff").encode(),
          "error: field file /nonexistent/f.cbff: "),
         ("huge.cfg", BASE.replace("mu = 1.0", "mu = 1e200").encode(),  # mu**2 overflows
-         _MU_LAMBDA1_ERROR),
+         _CONDITION_RANGE),
         ("eta3.cfg", BASE.replace("dim = 2", "dim = 3").replace("r = 3.0", "r = 3.0000000001")
          .replace("k=(1,0) a=(0j,(1+0j))", "k=(1,0,0) a=(0j,(1+0j),0j)").encode(),
-         "error: floating-point range exceeded "),
+         _ETA3_RANGE),
+        ("tiny-mu.cfg", BASE.replace("mu = 1.0", "mu = 1e-150").encode(),  # (G/threshold)^2
+         _CONDITION_RANGE),
+        # the forcing's coefficients scale as hnorm / L, and their squares overflow
+        ("small-L-big-forcing.cfg", BASE.replace("N = 16", "N = 8\nL = 1e-60").replace(
+            "modes k=(1,0) a=(0j,(1+0j))\nforcing_h_norm = 0.2", "random seed=1 hnorm=1e100"
+        ).encode(), "error: physics.forcing: out of the range "),
+        # a finite forcing_h_norm square, but f_h^4 in the 3D formulas overflows
+        ("3d-big-forcing.cfg", BASE.replace("dim = 2", "dim = 3").replace("N = 16", "N = 8")
+         .replace("k=(1,0) a=(0j,(1+0j))", "k=(1,0,0) a=(0j,(1+0j),0j)")
+         .replace("forcing_h_norm = 0.2", "forcing_h_norm = 1e100").encode(), _CONDITION_RANGE),
         ("nan-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = nan").encode(),
          "error: physics.forcing_h_norm: "),
         ("neg-norm.cfg", BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = -1").encode(),
@@ -293,10 +328,11 @@ _MU_LAMBDA1_ERROR = "error: grid.L, physics.mu: "
          "error: physics.forcing_h_norm: "),
         ("seeds.cfg", (BASE + "\n[noise]\nn_samples = 2000000\n").encode(), "error: noise.n_samples: "),
         *[(f"L{length}.cfg", BASE.replace("N = 16", f"N = 8\nL = {length}").encode(),
-           _MU_LAMBDA1_ERROR) for length in ("1e-150", "1e-100", "1e100", "1e150")],
+           _CONDITION_RANGE) for length in ("1e-150", "1e-100", "1e100", "1e150")],
     ],
     ids=[
         "bad-json", "not-utf8", "missing-field-file", "mu-overflow", "eta3-overflow",
+        "mu-underflow", "small-L-big-random-forcing", "3d-big-forcing-h-norm",
         "nan-forcing-h-norm", "negative-forcing-h-norm", "inf-forcing-h-norm",
         "overflowing-forcing-h-norm", "nan-forcing-mode", "forcing-h-norm-without-forcing",
         "too-many-noise-seeds", "L-1e-150", "L-1e-100", "L-1e100", "L-1e150",

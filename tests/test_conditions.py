@@ -23,11 +23,40 @@ from cbflab.conditions import (
     threshold_2d_alt,
     threshold_3d,
     threshold_3d_crit,
-    varrho_2d,
-    varrho_2d_alt,
-    varrho_3d,
-    varrho_3d_crit,
 )
+from cbflab.operators import h_norm
+
+# -- the paper's four varrho expressions, the reference for the one that
+# check_singleton_condition derives from each threshold ---------------------
+
+
+def paper_varrho_2d(mu, lam1, c1, f_h):
+    s = 1.0 + 1.0 / (mu * lam1) + 1.0 / (mu * lam1) ** 2
+    return mu * lam1 - (c1**2 / mu**2) * s * f_h**2
+
+
+def paper_varrho_2d_alt(mu, lam1, c1, f_h):
+    return mu * lam1 - c1**2 * f_h**2 / (mu**3 * lam1)
+
+
+def paper_varrho_3d(mu, lam1, c3, f_h, eta):
+    s = 2.0 + (2.0 * eta + 1.0) / (mu * lam1) + (2.0 * eta + 1.0) / (mu * lam1) ** 2
+    return mu * lam1 - (27.0 * c3**4 / (16.0 * mu**5)) * s**2 * f_h**4
+
+
+def paper_varrho_3d_crit(mu, lam1, c3, f_h):
+    s = 1.0 + 1.0 / (mu * lam1) + 1.0 / (mu * lam1) ** 2
+    return mu * lam1 - (27.0 * c3**4 / (16.0 * mu**5)) * s**2 * f_h**4
+
+
+def derived_varrho(mu, lam1, g, threshold, dim):
+    """varrho = mu lambda1 (1 - (G / threshold)^p), p = 2 in 2D and 4 in 3D."""
+    return mu * lam1 * (1.0 - (g / threshold) ** (2 if dim == 2 else 4))
+
+
+def assert_matches_paper(derived, reference, mu, lam1):
+    scale = np.maximum(mu * lam1, np.abs(reference))
+    assert np.all(np.abs(derived - reference) <= 1e-13 * scale)
 
 
 def test_grashof_zero_forcing(grid2d):
@@ -120,7 +149,8 @@ def test_3d_critical_needs_2betamu(grid3d):
 
 
 def test_threshold_varrho_equivalence_bulk():
-    """(G < threshold) iff (varrho > 0) across a million random tuples."""
+    """Over a million random tuples, the varrho derived from each threshold
+    matches the paper's expression, and (varrho > 0) iff (G < threshold)."""
     rng = np.random.default_rng(123)
     n = 1_000_000
     mu = rng.uniform(0.05, 5.0, n)
@@ -128,22 +158,49 @@ def test_threshold_varrho_equivalence_bulk():
     c1 = rng.uniform(0.2, 4.0, n)
     f_h = rng.uniform(0.0, 3.0, n)
     g = f_h / (mu**2 * lam)
-    agree = (g < threshold_2d(mu, lam, c1)) == (varrho_2d(mu, lam, c1, f_h) > 0)
-    assert np.all(agree)
-    agree_alt = (g < threshold_2d_alt(mu, lam, c1)) == (
-        varrho_2d_alt(mu, lam, c1, f_h) > 0
-    )
-    assert np.all(agree_alt)
     c3 = rng.uniform(0.2, 4.0, n)
     eta = rng.uniform(0.0, 2.0, n)
-    agree_3d = (g < threshold_3d(mu, lam, c3, eta)) == (
-        varrho_3d(mu, lam, c3, f_h, eta) > 0
-    )
-    assert np.all(agree_3d)
-    agree_3dc = (g < threshold_3d_crit(mu, lam, c3)) == (
-        varrho_3d_crit(mu, lam, c3, f_h) > 0
-    )
-    assert np.all(agree_3dc)
+    for dim, threshold, reference in (
+        (2, threshold_2d(mu, lam, c1), paper_varrho_2d(mu, lam, c1, f_h)),
+        (2, threshold_2d_alt(mu, lam, c1), paper_varrho_2d_alt(mu, lam, c1, f_h)),
+        (3, threshold_3d(mu, lam, c3, eta), paper_varrho_3d(mu, lam, c3, f_h, eta)),
+        (3, threshold_3d_crit(mu, lam, c3), paper_varrho_3d_crit(mu, lam, c3, f_h)),
+    ):
+        varrho = derived_varrho(mu, lam, g, threshold, dim)
+        assert_matches_paper(varrho, reference, mu, lam)
+        assert np.all((varrho > 0) == (g < threshold))
+
+
+def test_reported_varrho_matches_paper_in_every_regime():
+    """check_singleton_condition's varrho against the paper's expressions, over
+    random mu, lambda1 (through L), forcing norm, constants, beta and r."""
+    rng = np.random.default_rng(7)
+    grids = [TorusGrid(dim=d, N=8, L=L) for d in (2, 3) for L in (1.0, 2.0 * math.pi, 20.0)]
+    for _ in range(40):
+        for grid in grids:
+            mu = rng.uniform(0.1, 4.0)
+            cons = EstimateConstants(c1=rng.uniform(0.3, 3.0), c2=1.0, c3=rng.uniform(0.3, 3.0))
+            mode, amp = ((1, 0), (0.0, 1.0)) if grid.dim == 2 else ((1, 0, 0), (0.0, 1.0, 0.0))
+            f = single_mode_field(grid, mode, amp, h_norm=rng.uniform(0.01, 2.0))
+            f_h, lam1 = h_norm(f), grid.lambda1
+            if grid.dim == 2:
+                p = PhysicsParams(mu=mu, beta=1.0, r=rng.uniform(1.0, 4.0), forcing=f)
+                cases = (
+                    ("2D-C1", paper_varrho_2d(mu, lam1, cons.c1, f_h)),
+                    ("2D-C3", paper_varrho_2d_alt(mu, lam1, cons.c1, f_h)),
+                )
+            else:
+                beta, r = rng.uniform(0.5, 2.0), rng.uniform(3.5, 6.0)
+                p = PhysicsParams(mu=mu, beta=beta, r=r, forcing=f)
+                cases = (("3D-r>3", paper_varrho_3d(mu, lam1, cons.c3, f_h, eta3(mu, beta, r))),)
+                p3 = PhysicsParams(mu=mu, beta=1.0 / mu, r=3.0, forcing=f)
+                reference = paper_varrho_3d_crit(mu, lam1, cons.c3, f_h)
+                rep3 = check_singleton_condition(p3, grid, cons, "3D-r=3")
+                assert_matches_paper(rep3.varrho, reference, mu, lam1)
+            for regime, reference in cases:
+                rep = check_singleton_condition(p, grid, cons, regime)
+                assert_matches_paper(rep.varrho, reference, mu, lam1)
+                assert rep.holds == (rep.grashof < rep.threshold)
 
 
 @settings(max_examples=200, deadline=None)

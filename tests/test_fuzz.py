@@ -220,3 +220,50 @@ def test_step_count_raises_only_validation_errors(t, h):
 def test_step_count_keeps_negative_spans():
     # sample_wiener counts its t_min steps with a negative span
     assert step_count(-0.5, 0.1, "t_min") == -5
+
+
+#: 2D N = 8 with every input the range test scales; {forcing} is a field spec.
+RANGE = """
+[grid]
+dim = 2
+N = 8
+L = {L}
+
+[physics]
+mu = {mu}
+forcing = {forcing}
+{forcing_h_norm}
+"""
+
+powers = st.integers(-308, 308).map(lambda k: f"1e{k}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    L=st.just("6.283185307179586") | powers,
+    mu=st.just("1.0") | powers,
+    forcing=st.one_of(
+        powers.map(lambda a: f"random seed=1 hnorm={a}"),
+        powers.map(lambda a: f"modes k=(1,0) a=(0j,{a}j)"),
+    ),
+    forcing_h_norm=st.none() | powers,
+)
+def test_powers_of_ten_exit_cleanly(L, mu, forcing, forcing_h_norm):
+    """Each input at 10^k, k in [-308, 308]: an exit code of 0, 2 or 4, only
+    `error:` lines on stderr, and no numpy warning on the way."""
+    text = RANGE.format(
+        L=L, mu=mu, forcing=forcing,
+        forcing_h_norm="" if forcing_h_norm is None else f"forcing_h_norm = {forcing_h_norm}",
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        one_step = "[solver]\nh = 0.01\nT = 0.01\n"
+        for sub, extra in (("check-conditions", ""), ("simulate", one_step)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + extra)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([sub, "--config", path, "--out", os.path.join(tmp, sub)])
+            assert code in (0, 2, 4), (sub, err.getvalue())
+            assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
