@@ -192,18 +192,15 @@ def _cmd_pullback(cfg, out_dir, args):
 
 def _cmd_sweep(cfg, out_dir, args):
     grid, params, phi = _materialize(cfg, "noise.phi")
-    eps_grid = cfg.noise.eps_grid
-    if not eps_grid:
+    if not cfg.noise.eps_grid:
         raise ValidationError("noise.eps_grid: sweep requires an epsilon grid")
+    noise = NoiseConfig(
+        mode=cfg.noise.mode, phi=phi, ou_alpha=cfg.noise.ou_alpha,
+        seed=cfg.noise.seed + args.seed_offset,
+    )
     result = rate_sweep(
-        params, grid, cfg.noise.mode, eps_grid, cfg.noise.n_samples,
-        cfg.solver.t_pull, cfg.solver.h,
-        phi=phi, ou_alpha=cfg.noise.ou_alpha,
-        base_seed=cfg.noise.seed + args.seed_offset,
-        pullback_tol=cfg.solver.pullback_tol, singleton_tol=cfg.solver.tol,
-        singleton_maxT=cfg.solver.T, n_probes=cfg.solver.n_probes,
+        params, grid, noise, cfg.noise.eps_grid, cfg.noise.n_samples, cfg.solver,
         constants=_constants(cfg),
-        cfl_safety=cfg.solver.cfl_safety, blowup_guard=cfg.solver.blowup_guard,
     )
     rec_path = os.path.join(out_dir, "records.csv")
     write_csv(
@@ -454,8 +451,8 @@ def main(argv=None) -> int:
             print(f"error: {line}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_VALIDATION)
     except ArithmeticError as exc:
-        # what errors.value_range does not cover, e.g. a step's math.exp(-eps z)
-        # in a multiplicative pullback at noise.ou_alpha = 1e-300
+        # what errors.value_range does not cover, e.g. stationary_moment's
+        # alpha**2 in ou-diagnostics at noise.ou_alpha = 1e300
         print(
             f"error: floating-point range exceeded ({exc}); a config value is "
             "too large or too small to compute with",

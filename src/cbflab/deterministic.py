@@ -51,12 +51,10 @@ class Trajectory:
     def final_state(self) -> SpectralVelocity:
         return self.states[-1]
 
-    def rows(self, residual: np.ndarray | None = None):
-        """CSV rows (t, h_norm, v_norm, lr_norm, energy_residual)."""
-        lr = self.lr_norm if self.lr_norm is not None else np.zeros_like(self.t)
-        res = residual if residual is not None else np.zeros_like(self.t)
+    def rows(self, residual: np.ndarray):
+        """CSV rows (t, h_norm, v_norm, lr_norm, energy_residual) of a ``record_lr`` run."""
         for i in range(len(self.t)):
-            yield (self.t[i], self.h_norm[i], self.v_norm[i], lr[i], res[i])
+            yield (self.t[i], self.h_norm[i], self.v_norm[i], self.lr_norm[i], residual[i])
 
 
 def integrating_factor(grid: TorusGrid, mu: float, h: float) -> np.ndarray:
@@ -84,8 +82,8 @@ def _tendency(grid, params, noise, ou, t0, f_half):
     if add != 0.0:
         phi = noise.phi.half
         # eps z times this is the noise's own drive, eps z (alpha Phi - mu A Phi)
-        a_phi = phi * (grid.lambda1 * grid.half_k2)
-        phi_drive = alpha * phi - params.mu * a_phi
+        with value_range("physics.mu", "noise.phi", "noise.ou_alpha"):
+            phi_drive = alpha * phi - params.mu * (phi * (grid.lambda1 * grid.half_k2))
 
     def rhs(u, n):
         z = 0.0 if j0 is None else ou.value_at_index(j0 + n)
@@ -142,6 +140,12 @@ def drive(
     if n_steps < 1:
         raise ValidationError(f"horizon: need at least one step of h = {h}, got {n_steps}")
     ou = None if noise is None or noise.epsilon == 0.0 else noise.path(t0, t0 + n_steps * h, h)
+    if ou is not None and noise.mode == MULTIPLICATIVE:
+        # the largest scale a step applies, e^{eps |z| max(1, r - 1)} over the z it reads
+        j = ou.index(t0) - ou.j_min
+        with value_range("noise.epsilon", "noise.ou_alpha"):
+            np.exp(noise.epsilon * np.max(np.abs(ou.values[j : j + n_steps]))
+                   * max(1.0, params.r - 1.0))
     f_half = None if params.forcing is None else params.forcing.half
     rhs = _tendency(grid, params, noise, ou, t0, f_half)
     with value_range("grid.L", "physics.mu", "physics.forcing", "solver.h"):

@@ -10,13 +10,12 @@ least-squares line through (log eps, log mean distance).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .deterministic import find_singleton
 from .errors import NonConvergenceError, ValidationError
-from .fields import SpectralVelocity
 from .grid import TorusGrid
 from .operators import h_distance
 from .params import EstimateConstants, PhysicsParams, SolverSettings, step_count
@@ -131,47 +130,41 @@ class SweepResult:
 def rate_sweep(
     params: PhysicsParams,
     grid: TorusGrid,
-    mode: str,
+    noise: NoiseConfig,
     eps_grid,
     n_samples: int,
-    t_pull: float,
-    h: float,
+    solver: SolverSettings,
     *,
-    phi: SpectralVelocity | None = None,
-    ou_alpha: float = NoiseConfig.ou_alpha,
-    base_seed: int = 0,
-    pullback_tol: float = SolverSettings.pullback_tol,
-    singleton_tol: float = SolverSettings.tol,
-    singleton_maxT: float = SolverSettings.T,
-    n_probes: int = SolverSettings.n_probes,
     constants: EstimateConstants | None = None,
-    cfl_safety: float = SolverSettings.cfl_safety,
-    blowup_guard: float = SolverSettings.blowup_guard,
 ) -> SweepResult:
     """
     Measure dist_H(attractor sample, a_star) on a grid of noise intensities.
 
-    The deterministic singleton is computed once with the same step size h;
-    each noise seed base_seed, ..., base_seed + n_samples - 1 then produces
-    one coupled pullback sample per epsilon.  The pullback horizon is
+    The deterministic singleton is computed once with the step ``solver.h``;
+    each seed noise.seed, ..., noise.seed + n_samples - 1 then produces one
+    coupled pullback sample per epsilon, along ``noise`` (a template with
+    epsilon = 0) with that epsilon and seed.  The pullback horizon is
     validated by the halving test at the largest epsilon for every seed, and
     only converged records enter the fit.  A singleton search that does not
     converge raises NonConvergenceError carrying its contraction log.
     """
-    check_sweep_regime(mode, grid.dim, params.r)
+    if noise.epsilon != 0.0:
+        raise ValidationError(
+            f"noise.epsilon: the sweep template must have epsilon = 0, got {noise.epsilon}"
+        )
+    check_sweep_regime(noise.mode, grid.dim, params.r)
     eps_grid = sorted({float(e) for e in eps_grid}, reverse=True)
     if len(eps_grid) < 3:
         raise ValidationError("sweep: need at least 3 epsilon levels")
     if n_samples < 2:
         raise ValidationError("sweep: need at least 2 samples per level")
-    # the pullback settings before the singleton search, not after it
-    SolverSettings.check(h=h, t_pull=t_pull, pullback_tol=pullback_tol)
-    step_count(t_pull, h, "solver.t_pull")
+    # every setting before the singleton search, by SolverSettings' own fields
+    SolverSettings.check(**{f.name: getattr(solver, f.name) for f in fields(SolverSettings)})
+    step_count(solver.t_pull, solver.h, "solver.t_pull")
 
     singleton = find_singleton(
-        params, grid, tol=singleton_tol, maxT=singleton_maxT,
-        n_probes=n_probes, h=h, constants=constants,
-        cfl_safety=cfl_safety, blowup_guard=blowup_guard,
+        params, grid, tol=solver.tol, maxT=solver.T, n_probes=solver.n_probes, h=solver.h,
+        constants=constants, cfl_safety=solver.cfl_safety, blowup_guard=solver.blowup_guard,
     )
     if not singleton.converged:
         raise NonConvergenceError(
@@ -181,33 +174,30 @@ def rate_sweep(
     a_star = singleton.a_star
 
     records = []
-    for seed in range(base_seed, base_seed + n_samples):
+    for seed in range(noise.seed, noise.seed + n_samples):
         for i, eps in enumerate(eps_grid):
-            noise = NoiseConfig(
-                mode=mode, epsilon=eps, phi=phi, ou_alpha=ou_alpha, seed=seed
-            )
             sample = pullback_sample(
-                params, noise, t_pull, h,
-                grid=grid, validate=(i == 0), pullback_tol=pullback_tol,
-                cfl_safety=cfl_safety, blowup_guard=blowup_guard,
+                params, replace(noise, epsilon=eps, seed=seed), solver.t_pull, solver.h,
+                grid=grid, validate=(i == 0), pullback_tol=solver.pullback_tol,
+                cfl_safety=solver.cfl_safety, blowup_guard=solver.blowup_guard,
             )
             if i == 0:
                 converged = sample.converged
                 if not converged:
                     logger.warning(
                         "seed %d: pullback horizon %g not stabilized (gap %.3e)",
-                        seed, t_pull, sample.doubling_gap,
+                        seed, solver.t_pull, sample.doubling_gap,
                     )
             records.append(
                 SweepRecord(
                     epsilon=eps,
                     seed=seed,
-                    mode=mode,
+                    mode=noise.mode,
                     r=params.r,
                     dist_h=h_distance(a_star, sample.state),
-                    t_pull=t_pull,
+                    t_pull=solver.t_pull,
                     converged=converged,
                 )
             )
-    fit = fit_rate(records, mode, params.r)
+    fit = fit_rate(records, noise.mode, params.r)
     return SweepResult(records=records, fit=fit)

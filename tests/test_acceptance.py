@@ -36,6 +36,7 @@ from cbflab.deterministic import energy_residual
 from cbflab.experiments import mean_inversions
 from cbflab.fields import hermitianize
 from cbflab.operators import a_norm, bilinear_B, damping_C, h_distance, v_norm
+from cbflab.params import SolverSettings
 
 from test_deterministic import steady_residual
 from test_operators import identity3_sides
@@ -235,15 +236,16 @@ def test_criterion_07_eps_zero_reduction(setup_2d_critical):
 
 
 EPS_GRID = (0.1, 0.05, 0.025, 0.0125)
+#: The solver settings of criteria 8 and 9; the rest stay at their defaults.
+SWEEP_SOLVER = SolverSettings(h=0.01, T=200.0, t_pull=40.0, pullback_tol=1e-6)
 
 
 def test_criterion_08_multiplicative_rate(setup_2d_critical):
     grid, params, cons = setup_2d_critical
     t0 = time.perf_counter()
     result = rate_sweep(
-        params, grid, "multiplicative", EPS_GRID, n_samples=4,
-        t_pull=40.0, h=0.01, ou_alpha=2.5, base_seed=300,
-        pullback_tol=1e-6, singleton_maxT=200.0, constants=cons,
+        params, grid, NoiseConfig(mode="multiplicative", ou_alpha=2.5, seed=300),
+        EPS_GRID, 4, SWEEP_SOLVER, constants=cons,
     )
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0
@@ -269,9 +271,8 @@ def test_criterion_09_additive_rates():
     for r, floor in ((1.0, 0.85), (2.0, 0.60)):
         params = PhysicsParams(mu=1.0, beta=1.0, r=r, forcing=f)
         result = rate_sweep(
-            params, grid, "additive", EPS_GRID, n_samples=4,
-            t_pull=40.0, h=0.01, phi=phi, ou_alpha=2.5, base_seed=500,
-            pullback_tol=1e-6, singleton_maxT=200.0, constants=cons,
+            params, grid, NoiseConfig(mode="additive", phi=phi, ou_alpha=2.5, seed=500),
+            EPS_GRID, 4, SWEEP_SOLVER, constants=cons,
         )
         slopes[r] = result.fit.slope
         assert result.fit.slope >= floor

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cbflab import (
     EstimateConstants,
     GridMismatchError,
+    NoiseConfig,
     PhysicsParams,
     TorusGrid,
     ValidationError,
@@ -25,6 +26,7 @@ from cbflab.conditions import (
     threshold_3d_crit,
 )
 from cbflab.operators import h_norm
+from cbflab.params import SolverSettings
 
 # -- the paper's four varrho expressions, the reference for the one that
 # check_singleton_condition derives from each threshold ---------------------
@@ -84,7 +86,10 @@ def test_forcing_on_another_grid_is_a_grid_mismatch():
     for call in (
         lambda: check_singleton_condition(p, grid),
         lambda: find_singleton(p, grid, maxT=0.1, h=0.01),
-        lambda: rate_sweep(p, grid, "multiplicative", (0.1, 0.05, 0.025), 2, 0.1, 0.01),
+        lambda: rate_sweep(
+            p, grid, NoiseConfig(mode="multiplicative"), (0.1, 0.05, 0.025), 2,
+            SolverSettings(h=0.01, t_pull=0.1),
+        ),
     ):
         with pytest.raises(GridMismatchError, match="different grid"):
             call()

@@ -5,13 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbflab import (
+    NoiseConfig,
     PhysicsParams,
     SweepRecord,
+    TorusGrid,
     ValidationError,
     fit_rate,
     probe_field,
+    rate_sweep,
 )
 from cbflab.experiments import check_sweep_regime, delta_theory, mean_inversions
+from cbflab.params import SolverSettings
 
 
 def make_records(eps_grid, dists_by_eps, n_seeds=2, mode="multiplicative", r=3.0):
@@ -121,3 +125,25 @@ def test_contraction_identical_data_is_flat(grid2d_small):
     t2 = simulate(u, params, T=0.5, h=0.01, sample_every=10)
     for a, b in zip(t1.states, t2.states):
         assert h_norm_kernel(grid2d_small, a.coeffs - b.coeffs) == 0.0
+
+
+def test_sweep_template_epsilon_must_be_zero():
+    # each level sets its own epsilon, so a template's would be ignored
+    with pytest.raises(ValidationError, match="noise.epsilon: the sweep template"):
+        rate_sweep(
+            PhysicsParams(mu=1.0, beta=1.0, r=3.0), TorusGrid(dim=2, N=8),
+            NoiseConfig(mode="multiplicative", epsilon=0.1), (0.1, 0.05, 0.025), 2,
+            SolverSettings(),
+        )
+
+
+def test_sweep_checks_every_solver_setting_first():
+    with pytest.raises(ValidationError) as info:
+        rate_sweep(
+            PhysicsParams(mu=1.0, beta=1.0, r=3.0), TorusGrid(dim=2, N=8),
+            NoiseConfig(mode="multiplicative"), (0.1, 0.05, 0.025), 2,
+            SolverSettings(tol=-1.0, pullback_tol=0.0, n_probes=1),
+        )
+    assert [v.split(":")[0] for v in info.value.violations] == [
+        "solver.tol", "solver.pullback_tol", "solver.n_probes",
+    ]

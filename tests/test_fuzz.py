@@ -9,7 +9,7 @@ import tempfile
 from dataclasses import fields as dc_fields
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cbflab import CBFError, ValidationError, read_field
@@ -267,3 +267,55 @@ def test_powers_of_ten_exit_cleanly(L, mu, forcing, forcing_h_norm):
                 code = main([sub, "--config", path, "--out", os.path.join(tmp, sub)])
             assert code in (0, 2, 4), (sub, err.getvalue())
             assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
+#: A two-step 2D N = 8 pullback with every noise input the range test scales;
+#: {phi} is the profile line of additive noise.
+PULLBACK_RANGE = """
+[grid]
+dim = 2
+N = 8
+
+[physics]
+mu = {mu}
+forcing = modes k=(1,0) a=(0j,(1+0j))
+
+[noise]
+mode = {mode}
+epsilon = 0.1
+ou_alpha = {ou_alpha}
+{phi}
+
+[solver]
+h = 0.01
+t_pull = 0.02
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["additive", "multiplicative"]),
+    mu=st.just("1.0") | powers,
+    ou_alpha=st.just("1.0") | powers,
+    hnorm=st.just("1.0") | powers,
+)
+@example(mode="additive", mu="1e300", ou_alpha="1.0", hnorm="1e10")  # mu A Phi overflows
+@example(mode="multiplicative", mu="1.0", ou_alpha="1e-300", hnorm="1.0")  # e^{eps |z|} does
+def test_noise_powers_of_ten_exit_cleanly(mode, mu, ou_alpha, hnorm):
+    """physics.mu, noise.ou_alpha and the profile's hnorm at 10^k: an exit code
+    of 0, 2, 3 or 4, only `error:` lines that name what was out of range on
+    stderr, and no numpy warning on the way."""
+    phi = f"phi = random seed=1 hnorm={hnorm}" if mode == "additive" else ""
+    text = PULLBACK_RANGE.format(mode=mode, mu=mu, ou_alpha=ou_alpha, phi=phi)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pullback", "--config", path, "--out", os.path.join(tmp, "o")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3, 4), lines
+    assert all(line.startswith("error: ") for line in lines)
+    assert not any(line.startswith("error: floating-point range exceeded") for line in lines)
