@@ -9,9 +9,12 @@ retained mode; ``to_full`` rebuilds it for ``SpectralVelocity.coeffs``, the
 ``.cbff`` files and the full-layout kernels.  Padding and truncation move the
 2^(dim-1) frequency corner blocks with contiguous slice copies in either direction.
 
-Transforms to and from a padded m-lattice run through one pair,
+Transforms to and from a padded m-lattice run through one normalized pair,
 ``padded_irfft``/``truncated_rfft``, on one of two paths that ``DENSE_MAX``
-picks for each lattice.
+picks for each lattice.  The inverse sums the coefficients to the collocation
+values and the forward transform carries the 1/m per axis (numpy's
+``norm="forward"``), so the pair maps coefficients to point values and back
+with no scaling left to the caller.
 
 On small lattices (N <= DENSE_MAX) the pair is dense DFT products.  The
 retained coefficients are packed without their Nyquist rows and column; one
@@ -19,8 +22,8 @@ complex product per leading axis maps them to and from the m points, with
 matrices that hold only the retained frequencies, and one real cos/sin
 product does the last-axis c2r/r2c step.  The matrices are cached per
 (N, m) on first use.  The results agree with ``irfftn(pad_half(...))`` and
-``truncate_half(rfftn(...))`` to round-off (about 1e-15 of the largest
-entry), not bit for bit.  Every product is cut into chunks below the size at
+``truncate_half(rfftn(...))`` (each with ``norm="forward"``) to round-off
+(about 1e-15 of the largest entry), not bit for bit.  Every product is cut into chunks below the size at
 which OpenBLAS splits a gemm across threads (``MAX_PRODUCT``), so the bytes
 and the speed do not depend on the BLAS thread count.
 
@@ -32,9 +35,8 @@ also skips the rows of the leading axes it does not transform yet, which are
 zero too.  One ``irfft`` over the last axis finishes it.  The forward
 transform is the mirror image in ``rfftn`` order: it skips the columns and
 rows that the truncation to the retained lattice throws away.  Every line of
-a pass is the same 1D transform that ``irfftn``/``rfftn`` would run, so the
-results are bit-identical to ``irfftn(pad_half(...))`` and
-``truncate_half(rfftn(...))``.
+a pass is the same 1D transform that ``irfftn``/``rfftn`` would run with
+``norm="forward"``, so the results are bit-identical to theirs.
 
 The scratch is one flat complex and one flat real array per process
 (``scratch``), shared by every grid, grown to the largest request and viewed
@@ -292,10 +294,10 @@ class TorusGrid:
         return self.N <= DENSE_MAX
 
     def padded_irfft(self, coeffs: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
-        """``irfftn(pad_half(coeffs, m))`` over the lattice axes, into ``out``.
+        """``irfftn(pad_half(coeffs, m), norm="forward")`` over the lattice axes,
+        into ``out``: the values of the trig polynomial at the m-lattice points.
 
-        Unnormalized like ``irfftn``: the caller scales by m^dim.  Bit for bit
-        on the FFT path, to round-off on the dense one (see ``dense``).
+        Bit for bit on the FFT path, to round-off on the dense one (see ``dense``).
         ``out`` must be C-contiguous: the dense path writes it as a matrix.
         """
         if not out.flags.c_contiguous:
@@ -305,7 +307,8 @@ class TorusGrid:
         return self._pruned_irfft(coeffs, m, out)
 
     def truncated_rfft(self, values: np.ndarray, m: int) -> np.ndarray:
-        """``truncate_half(rfftn(values), m)`` over the lattice axes.
+        """``truncate_half(rfftn(values, norm="forward"), m)`` over the lattice
+        axes: the retained coefficients of m-lattice point values.
 
         Bit for bit on the FFT path, to round-off on the dense one (see
         ``dense``).  The result is a new array; it does not alias the scratch.
@@ -319,16 +322,16 @@ class TorusGrid:
         spec = self.pad_half(coeffs, m, self._half_scratch(coeffs.shape[: -self.dim], m))
         for axis, views in _pruned_passes(self.N, self.dim, m):
             for view in views:
-                np.fft.ifft(spec[view], axis=axis, out=spec[view])
-        return np.fft.irfft(spec, n=m, axis=-1, out=out)
+                np.fft.ifft(spec[view], axis=axis, out=spec[view], norm="forward")
+        return np.fft.irfft(spec, n=m, axis=-1, out=out, norm="forward")
 
     def _pruned_rfft(self, values: np.ndarray, m: int) -> np.ndarray:
         """``truncated_rfft`` by pruned FFT passes, bit for bit ``truncate_half(rfftn(...))``."""
         spec = self._half_scratch(values.shape[: -self.dim], m)
-        np.fft.rfft(values, axis=-1, out=spec)
+        np.fft.rfft(values, axis=-1, out=spec, norm="forward")
         for axis, views in reversed(_pruned_passes(self.N, self.dim, m)):
             for view in views:
-                np.fft.fft(spec[view], axis=axis, out=spec[view])
+                np.fft.fft(spec[view], axis=axis, out=spec[view], norm="forward")
         return self.truncate_half(spec, m)
 
     # The dense pair works on the retained lattice packed without its Nyquist
@@ -371,15 +374,12 @@ class TorusGrid:
         """Collocation values of the trig polynomial on a padded lattice.
 
         Returns (values, m) where values is real with lattice size m per axis.
-        Coefficients follow the convention u(x) = sum_k u_k exp(2 pi i k.x/L),
-        i.e. an unnormalized forward transform and 1/m^dim inverse; either
-        layout is accepted, as in ``pad_half``.
+        Coefficients follow the convention u(x) = sum_k u_k exp(2 pi i k.x/L);
+        either layout is accepted, as in ``pad_half``.
         """
         m = self.padded_size(factor) if factor > 1.0 else self.N
         vals = np.empty(coeffs.shape[: -self.dim] + (m,) * self.dim)
-        self.padded_irfft(coeffs, m, vals)
-        vals *= float(m**self.dim)
-        return vals, m
+        return self.padded_irfft(coeffs, m, vals), m
 
     def from_phys(self, values: np.ndarray, m: int) -> np.ndarray:
         """Retained-lattice full-layout coefficients of collocation values on an m-lattice.
@@ -387,7 +387,6 @@ class TorusGrid:
         The returned array is exactly Hermitian and its mean mode is zero.
         """
         half = self.truncated_rfft(values, m)
-        half /= float(m**self.dim)
         self.symmetrize_plane(half)
         half[(...,) + (0,) * self.dim] = 0.0
         return self.to_full(half)
@@ -465,24 +464,24 @@ def _dft_matrices(n: int, m: int) -> tuple:
     """Dense DFT factors between the packed retained n-lattice and the m-lattice.
 
     Returns (inv, fwd, last_inv, last_fwd).  ``inv`` (m, n-1) is the
-    leading-axis inverse transform with its 1/m and ``fwd`` (n-1, m) the
-    forward one, over the retained frequencies 0..n/2-1, -(n/2-1)..-1.  On a
+    leading-axis inverse transform and ``fwd`` (n-1, m) the forward one with
+    its 1/m, over the retained frequencies 0..n/2-1, -(n/2-1)..-1.  On a
     complex last axis read as interleaved real and imaginary parts,
-    ``last_inv`` (n, m) is the c2r step with its 1/m and ``last_fwd`` (m, n)
-    the r2c step, over the frequencies 0..n/2-1.  Built on first use.
+    ``last_inv`` (n, m) is the c2r step and ``last_fwd`` (m, n) the r2c step
+    with its 1/m, over the frequencies 0..n/2-1.  Built on first use.
     """
     n2 = n // 2
     x = np.arange(m)
     freqs = np.concatenate((np.arange(n2), np.arange(n2 + 1 - n, 0)))
     phase = (2.0 * np.pi / m) * (np.outer(x, freqs) % m)
-    inv = np.exp(1j * phase) / m
-    fwd = np.exp(-1j * phase.T)
+    inv = np.exp(1j * phase)
+    fwd = np.exp(-1j * phase.T) / m
     cols = (2.0 * np.pi / m) * (np.outer(np.arange(n2), x) % m)
-    weight = np.where(np.arange(n2) == 0, 1.0, 2.0)[:, None] / m
+    weight = np.where(np.arange(n2) == 0, 1.0, 2.0)[:, None]
     last_inv = np.empty((n, m))
     last_inv[0::2], last_inv[1::2] = weight * np.cos(cols), -weight * np.sin(cols)
     last_fwd = np.empty((m, n))
-    last_fwd[:, 0::2], last_fwd[:, 1::2] = np.cos(cols).T, -np.sin(cols).T
+    last_fwd[:, 0::2], last_fwd[:, 1::2] = np.cos(cols).T / m, -np.sin(cols).T / m
     matrices = (inv, fwd, last_inv, last_fwd)
     for a in matrices:
         a.flags.writeable = False

@@ -10,9 +10,10 @@ full-layout `bilinear_kernel` and `damping_kernel` are thin wrappers over the
 same half-layout pieces.
 
 The padded fields, products and damping weights live in the one process
-scratch (`grid.scratch`) and go through the grid's transform pair, dense DFT
-products on small lattices and pruned FFT passes on larger ones (see
-`grid`), so a warm call allocates only its half-layout results, which never
+scratch (`grid.scratch`) and go through the grid's normalized transform
+pair, which maps coefficients to point values and back with no scaling by
+the caller, as dense DFT products on small lattices and pruned FFT passes on
+larger ones (see `grid`), so a warm call allocates only its half-layout results, which never
 alias the scratch.  The kernels are therefore not reentrant; cbflab runs one
 thread per process.
 """
@@ -112,7 +113,6 @@ def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
     """
     dim = grid.dim
     m = grid.padded_size(max(grid.dealias_factor, QUADRATIC_PAD))
-    points = float(m**dim)
     if v_half is None:
         pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
         fields = 1
@@ -122,17 +122,15 @@ def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
     work = scratch(float, (fields * dim + len(pairs),) + (m,) * dim)
     u, prods = work[:dim], work[fields * dim :]
     grid.padded_irfft(u_half, m, u)
-    u *= points
     v = u
     if v_half is not None:
         v = grid.padded_irfft(v_half, m, work[dim : 2 * dim])
-        v *= points
     # the product slots are free until the products are formed
     vmax = float(np.sqrt(np.max(_sum_squares(u, prods[0], prods[1]))))
     for p, (i, j) in enumerate(pairs):
         np.multiply(u[i], v[j], out=prods[p])
     flux = grid.truncated_rfft(prods, m)
-    grad = (2j * np.pi / grid.L * scale / points) * grid.half_k
+    grad = (2j * np.pi / grid.L * scale) * grid.half_k
     out = np.zeros((dim,) + grid.half_shape, dtype=complex)
     for p, (i, j) in enumerate(pairs):
         out[j] += grad[i] * flux[p]
@@ -145,17 +143,15 @@ def _damping_half(grid: TorusGrid, u_half, r: float, scale: float = 1.0):
     """Unprojected scale * |u|^(r-1) u in the half layout, from the 2x lattice (r > 1)."""
     dim = grid.dim
     m = grid.padded_size(max(grid.dealias_factor, DAMPING_PAD))
-    points = float(m**dim)
     work = scratch(float, (dim + 2,) + (m,) * dim)
     u, weight = work[:dim], work[dim]
     grid.padded_irfft(u_half, m, u)
-    u *= points
     _sum_squares(u, weight, work[dim + 1])  # |u|^(r-1) is this to the power (r-1)/2
     if r != 3.0:
         np.power(weight, 0.5 * (r - 1.0), out=weight)
     u *= weight
     out = grid.truncated_rfft(u, m)
-    out *= scale / points
+    out *= scale
     return out
 
 

@@ -355,11 +355,12 @@ def _transform_cases(dim, n, dealias):
 
 
 def _numpy_pair(g, u, m):
-    """``irfftn(pad_half(u))``, products made from it and ``truncate_half(rfftn(products))``."""
+    """``irfftn(pad_half(u))``, products made from it and ``truncate_half(rfftn(products))``,
+    normalized as the pair is (``norm="forward"``)."""
     axes = tuple(range(-g.dim, 0))
-    values = np.fft.irfftn(g.pad_half(u, m), s=(m,) * g.dim, axes=axes)
+    values = np.fft.irfftn(g.pad_half(u, m), s=(m,) * g.dim, axes=axes, norm="forward")
     products = values * values[::-1]  # a full spectrum for the truncation to cut
-    return values, products, g.truncate_half(np.fft.rfftn(products, axes=axes), m)
+    return values, products, g.truncate_half(np.fft.rfftn(products, axes=axes, norm="forward"), m)
 
 
 @pytest.mark.parametrize("dealias", [1.0, 1.5, 2.0, 3.0])
@@ -416,6 +417,21 @@ def test_public_pair_takes_the_path_the_lattice_picks(dim, n, dealias, path):
         values = got * got[::-1]
         spectra = {p: getattr(g, f"_{p}_rfft")(values, m).tobytes() for p in (path, other)}
         assert g.truncated_rfft(values, m).tobytes() == spectra[path] != spectra[other]
+
+
+@pytest.mark.parametrize("n", [16, 48], ids=["dense", "pruned"])
+def test_padded_pair_maps_coefficients_to_point_values_and_back(n):
+    # the pair owns its normalization: the inverse gives the point values of
+    # sum_k u_k exp(2 pi i k.x/L), and the forward one gives u_k back
+    g = TorusGrid(dim=2, N=n)
+    u = random_field(g, 3)
+    m = g.padded_size(1.5)
+    e = np.exp(2j * np.pi * np.outer(np.arange(m), np.fft.fftfreq(n, 1.0 / n)) / m)
+    direct = np.einsum("ab,cbd,ed->cae", e, u.coeffs, e).real
+    values = g.padded_irfft(u.half, m, np.empty((2, m, m)))
+    assert np.max(np.abs(values - direct)) <= 1e-13 * np.max(np.abs(direct))
+    back = g.truncated_rfft(values, m)
+    assert np.max(np.abs(back - u.half)) <= 1e-13 * np.max(np.abs(u.half))
 
 
 _THREAD_PROBE = """
