@@ -141,7 +141,8 @@ def drive(
         raise ValidationError(f"horizon: need at least one step of h = {h}, got {n_steps}")
     ou = None if noise is None or noise.epsilon == 0.0 else noise.path(t0, t0 + n_steps * h, h)
     if ou is not None and noise.mode == MULTIPLICATIVE:
-        # the largest scale a step applies, e^{eps |z| max(1, r - 1)} over the z it reads
+        # raises if the largest scale a step applies, e^{eps |z| max(1, r - 1)}
+        # over the z the run reads, leaves the float range
         j = ou.index(t0) - ou.j_min
         with value_range("noise.epsilon", "noise.ou_alpha"):
             np.exp(noise.epsilon * np.max(np.abs(ou.values[j : j + n_steps]))

@@ -23,9 +23,10 @@ matrices that hold only the retained frequencies, and one real cos/sin
 product does the last-axis c2r/r2c step.  The matrices are cached per
 (N, m) on first use.  The results agree with ``irfftn(pad_half(...))`` and
 ``truncate_half(rfftn(...))`` (each with ``norm="forward"``) to round-off
-(about 1e-15 of the largest entry), not bit for bit.  Every product is cut into chunks below the size at
-which OpenBLAS splits a gemm across threads (``MAX_PRODUCT``), so the bytes
-and the speed do not depend on the BLAS thread count.
+(about 1e-15 of the largest entry), not bit for bit.  Every product is cut
+into chunks below the size at which OpenBLAS splits a gemm across threads
+(``MAX_PRODUCT``), so the bytes and the speed do not depend on the BLAS
+thread count.
 
 On larger lattices the pair is pruned FFT passes.  The inverse writes the
 corner blocks into a zeroed complex scratch and runs the leading-axis inverse

@@ -10,12 +10,12 @@ full-layout `bilinear_kernel` and `damping_kernel` are thin wrappers over the
 same half-layout pieces.
 
 The padded fields, products and damping weights live in the one process
-scratch (`grid.scratch`) and go through the grid's normalized transform
-pair, which maps coefficients to point values and back with no scaling by
-the caller, as dense DFT products on small lattices and pruned FFT passes on
-larger ones (see `grid`), so a warm call allocates only its half-layout results, which never
-alias the scratch.  The kernels are therefore not reentrant; cbflab runs one
-thread per process.
+scratch (`grid.scratch`) and go through the grid's normalized transform pair,
+which maps coefficients to point values and back with no scaling left to the
+caller: dense DFT products on small lattices and pruned FFT passes on larger
+ones (see `grid`).  A warm call allocates only its half-layout results, which
+never alias the scratch.  The kernels are therefore not reentrant; cbflab
+runs one thread per process.
 """
 
 from __future__ import annotations
