@@ -3,14 +3,14 @@
 
 Usage: python scripts/artifact_digest.py OUT
 
-Runs 17 `cbflab` subcommands in-process, each into its own directory under
+Runs 16 `cbflab` subcommands in-process, each into its own directory under
 OUT, with the configs below: sweeps (multiplicative, a manifest-style
-multiplicative config with two seed offsets, additive at r = 1) and a
-`report --format svg` of the first; pullbacks (multiplicative with two seed
-offsets, additive, `none`, 3D multiplicative); singleton searches (one that
-converges and two that stop at their budget); `simulate` in 2D and 3D with
-snapshots; `check-conditions`; `ou-diagnostics`.  Prints one `sha256  run/file` line per file, `manifest.json`
-included, sorted.  Two checkouts that compute the same numbers print the
+multiplicative config with two seed offsets, additive at r = 1); pullbacks
+(multiplicative with two seed offsets, additive, `none`, 3D multiplicative);
+singleton searches (one that converges and two that stop at their budget);
+`simulate` in 2D and 3D with snapshots; `check-conditions`; `ou-diagnostics`.
+Prints one `sha256  run/file` line per file, `manifest.json` included,
+sorted.  Two checkouts that compute the same numbers print the
 same lines, so `diff` of two outputs checks a refactor end to end.
 """
 
@@ -131,10 +131,9 @@ ou_alpha = 2.5
 seed = 3
 """
 
-#: (run name, subcommand, config text or None for report, extra arguments)
+#: (run name, subcommand, config text, extra arguments)
 RUNS = (
     ("sweep", "sweep", SWEEP.format(seed=0, t_pull=8.0), []),
-    ("report", "report", None, ["--format", "svg"]),
     ("sweep-c11", "sweep", SWEEP.format(seed=40, t_pull=10.0), []),
     ("sweep-c11-offset3", "sweep", SWEEP.format(seed=40, t_pull=10.0), ["--seed-offset", "3"]),
     ("sweep-additive-r1", "sweep", ADDITIVE_SWEEP, []),
@@ -166,11 +165,8 @@ def main():
     for name, sub, text, extra in RUNS:
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
-        if text is None:
-            config = str(out / "sweep")
-        else:
-            config = str(run_dir / "run.cfg")
-            Path(config).write_text(text)
+        config = str(run_dir / "run.cfg")
+        Path(config).write_text(text)
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli_main([sub, "--config", config, "--out", str(run_dir), *extra])
         print(f"# {name}: exit {code}")

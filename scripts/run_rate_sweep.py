@@ -50,11 +50,8 @@ def main():
     with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
         fh.write(text)
         cfg_path = fh.name
-    code = cli_main(
-        ["sweep", "--config", cfg_path, "--out", outdir, "--format", "svg"]
-    )
+    code = cli_main(["sweep", "--config", cfg_path, "--out", outdir])
     if code == 0:
-        cli_main(["report", "--config", outdir, "--out", outdir, "--format", "svg"])
         print(f"artifacts in {Path(outdir).resolve()}")
     sys.exit(code)
 

@@ -19,13 +19,13 @@ from .conditions import check_singleton_condition
 from .config import RunConfig, build_field, parse_config, serialize_config
 from .deterministic import energy_residual, find_singleton, simulate
 from .errors import BlowUpError, CBFError, NonConvergenceError, ValidationError, value_range
-from .experiments import SweepRecord, mean_inversions, rate_sweep
+from .experiments import SweepRecord, rate_sweep
 from .fields import write_field, zero_velocity
 from .grid import TorusGrid
 from .ou import ou_from_wiener, ou_path, sample_wiener, stationary_moment
 from .params import EstimateConstants, PhysicsParams
 from .random_pde import NoiseConfig, pullback_sample
-from .runio import fmt, svg_rate_plot, write_csv, write_json, write_manifest
+from .runio import svg_rate_plot, write_csv, write_json, write_manifest, write_text
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -192,8 +192,6 @@ def _cmd_pullback(cfg, out_dir, args):
 
 def _cmd_sweep(cfg, out_dir, args):
     grid, params, phi = _materialize(cfg, "noise.phi")
-    if not cfg.noise.eps_grid:
-        raise ValidationError("noise.eps_grid: sweep requires an epsilon grid")
     noise = NoiseConfig(
         mode=cfg.noise.mode, phi=phi, ou_alpha=cfg.noise.ou_alpha,
         seed=cfg.noise.seed + args.seed_offset,
@@ -206,50 +204,49 @@ def _cmd_sweep(cfg, out_dir, args):
     write_csv(
         rec_path, [f.name for f in dc_fields(SweepRecord)], map(astuple, result.records)
     )
-    fit_payload = {**asdict(result.fit), "mean_inversions": mean_inversions(result.fit)}
     fit_path = os.path.join(out_dir, "fit.json")
-    write_json(fit_path, fit_payload)
-    artifacts = [rec_path, fit_path]
-    if args.format == "svg":
-        artifacts.append(_write_svg(out_dir, fit_payload, [asdict(r) for r in result.records]))
-    print(
-        f"fitted slope {result.fit.slope!r} "
-        f"(theory {result.fit.delta_theory!r}) over {len(result.records)} records"
-    )
-    return artifacts, EXIT_OK, result.seeds
+    write_json(fit_path, asdict(result.fit))
+    summary = result.fit.summary()
+    print(summary, end="")
+    summary_path = os.path.join(out_dir, "summary.txt")
+    write_text(summary_path, summary)
+    svg_path = os.path.join(out_dir, "fit.svg")
+    write_text(svg_path, svg_rate_plot(result.fit, result.records))
+    return [rec_path, fit_path, summary_path, svg_path], EXIT_OK, result.seeds
 
 
 def _cmd_ou_diagnostics(cfg, out_dir, args):
     alpha = cfg.noise.ou_alpha
     seeds = range(cfg.noise.seed, cfg.noise.seed + max(cfg.noise.n_samples, 1000))
-    draws = np.array(
-        [ou_path(s, alpha, t_min=-0.5, t_max=2.0, h_w=0.1).value(2.0) for s in seeds]
-    )
-    abs_z = np.abs(draws)
-    wiener = sample_wiener(cfg.noise.seed, t_min=-1000.0, t_max=0.0, h_w=0.05)
-    long_path = ou_from_wiener(wiener, alpha)
-    zvals = long_path.values
+    with value_range("noise.ou_alpha"):
+        draws = np.array(
+            [ou_path(s, alpha, t_min=-0.5, t_max=2.0, h_w=0.1).value(2.0) for s in seeds]
+        )
+        abs_z = np.abs(draws)
+        wiener = sample_wiener(cfg.noise.seed, t_min=-1000.0, t_max=0.0, h_w=0.05)
+        long_path = ou_from_wiener(wiener, alpha)
+        zvals = long_path.values
+        t_span = 1000.0
+        avg = float(np.trapezoid(zvals, dx=0.05) / t_span)
+        payload = {
+            "alpha": alpha,
+            "n_samples": len(seeds),
+            "mean_abs_z": float(np.mean(abs_z)),
+            "mean_abs_z_theory": stationary_moment(alpha, 1.0),
+            "mean_z_sq": float(np.mean(abs_z**2)),
+            "mean_z_sq_theory": stationary_moment(alpha, 2.0),
+            "pullback_time_average": avg,
+            "pullback_time_average_bound": 5.0 / np.sqrt(2.0 * alpha * t_span),
+            "sublinear_max": float(
+                np.max(np.exp(-0.1 * np.abs(long_path.times())) * np.abs(zvals))
+            ),
+        }
     dump_path = os.path.join(out_dir, "path.csv")
     write_csv(
         dump_path,
         ("t", "W", "z"),
         zip(long_path.times(), wiener.values, zvals),
     )
-    t_span = 1000.0
-    avg = float(np.trapezoid(zvals, dx=0.05) / t_span)
-    payload = {
-        "alpha": alpha,
-        "n_samples": len(seeds),
-        "mean_abs_z": float(np.mean(abs_z)),
-        "mean_abs_z_theory": stationary_moment(alpha, 1.0),
-        "mean_z_sq": float(np.mean(abs_z**2)),
-        "mean_z_sq_theory": stationary_moment(alpha, 2.0),
-        "pullback_time_average": avg,
-        "pullback_time_average_bound": 5.0 / np.sqrt(2.0 * alpha * t_span),
-        "sublinear_max": float(
-            np.max(np.exp(-0.1 * np.abs(long_path.times())) * np.abs(zvals))
-        ),
-    }
     path = os.path.join(out_dir, "ou_stats.json")
     write_json(path, payload)
     print(
@@ -259,92 +256,8 @@ def _cmd_ou_diagnostics(cfg, out_dir, args):
     return [path, dump_path], EXIT_OK, list(seeds)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _read_fit(path) -> dict:
-    """A sweep's fit.json, with every value that ``report`` prints or plots checked."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            fit = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ValidationError(f"{path}: not a fit JSON file ({exc})") from exc
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read ({exc})") from exc
-    if not isinstance(fit, dict):
-        raise ValidationError(f"{path}: not a fit JSON object")
-    problems = [
-        f"{path}: {key} must be a number"
-        for key in ("slope", "intercept", "delta_theory", "n_samples")
-        if not _is_number(fit.get(key))
-    ]
-    problems += [
-        f"{path}: {key} must be a non-empty list of numbers"
-        for key in ("eps_grid", "log_means", "residuals")
-        if not (isinstance(fit.get(key), list) and fit[key] and all(map(_is_number, fit[key])))
-    ]
-    if not problems and not all(e > 0 for e in fit["eps_grid"]):
-        problems.append(f"{path}: eps_grid entries must be positive")
-    if problems:
-        raise ValidationError(problems)
-    return fit
-
-
-def _read_records(path) -> list:
-    """The epsilon and dist_h of every row of a sweep's records.csv."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            records = []
-            for line in fh:
-                row = dict(zip(header, line.strip().split(",")))
-                records.append({key: float(row[key]) for key in ("epsilon", "dist_h")})
-    except (KeyError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
-        raise ValidationError(f"{path}: need numeric epsilon and dist_h columns ({exc!r})") from exc
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read ({exc})") from exc
-    if not all(rec["epsilon"] > 0 for rec in records):
-        raise ValidationError(f"{path}: epsilon entries must be positive")
-    return records
-
-
-def _cmd_report(cfg_path, out_dir, args):
-    src = cfg_path
-    if os.path.isdir(src):
-        src = os.path.join(src, "fit.json")
-    fit_payload = _read_fit(src)
-    lines = [
-        "rate sweep summary",
-        f"  fitted slope     : {fmt(fit_payload['slope'])}",
-        f"  theory exponent  : {fmt(fit_payload['delta_theory'])}",
-        f"  epsilon grid     : {', '.join(fmt(e) for e in fit_payload['eps_grid'])}",
-        f"  samples per level: {fmt(fit_payload['n_samples'])}",
-        f"  fit residuals    : {', '.join(fmt(v) for v in fit_payload['residuals'])}",
-    ]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    summary_path = os.path.join(out_dir, "summary.txt")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    artifacts = [summary_path]
-    if args.format == "svg":
-        rec_csv = os.path.join(os.path.dirname(src), "records.csv")
-        records = _read_records(rec_csv) if os.path.exists(rec_csv) else None
-        artifacts.append(_write_svg(out_dir, fit_payload, records))
-    return artifacts, EXIT_OK
-
-
-def _write_svg(out_dir, fit_payload, records) -> str:
-    """Write the rate plot of a fit and its records to ``fit.svg``; returns its path."""
-    path = os.path.join(out_dir, "fit.svg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg_rate_plot(fit_payload, records))
-    return path
-
-
 #: The options a run takes besides --config and --out, with their defaults.
-_OPTIONS = {"--seed-offset": 0, "--format": "csv"}
+_OPTIONS = {"--seed-offset": 0}
 
 
 def _keys(section: str, names: str) -> tuple:
@@ -374,16 +287,15 @@ _COMMANDS = {
         "grid", "physics", "constants",
         *_keys("noise", "mode eps_grid phi ou_alpha seed n_samples"),
         *_keys("solver", "h T t_pull tol pullback_tol n_probes cfl_safety blowup_guard"),
-        "--seed-offset", "--format",
+        "--seed-offset",
     )),
     "ou-diagnostics": (_cmd_ou_diagnostics, _keys("noise", "ou_alpha seed n_samples")),
-    "report": (_cmd_report, ("--format",)),
 }
 
 
-def _inputs(cfg: RunConfig | None, options: dict) -> dict:
-    """Every key of ``cfg`` as ``section.key`` (none without a config), then ``options``."""
-    keys = {} if cfg is None else {
+def _inputs(cfg: RunConfig, options: dict) -> dict:
+    """Every key of ``cfg`` as ``section.key``, then ``options``."""
+    keys = {
         f"{section.name}.{key.name}": getattr(values, key.name)
         for section in dc_fields(cfg)
         for values in [getattr(cfg, section.name)]
@@ -401,7 +313,7 @@ def _reads(subcommand: str) -> set:
     }
 
 
-def _unread_inputs(subcommand: str, cfg: RunConfig | None, args) -> list:
+def _unread_inputs(subcommand: str, cfg: RunConfig, args) -> list:
     """A violation for every input off its default that ``subcommand`` does not read."""
     options = {opt: getattr(args, opt[2:].replace("-", "_")) for opt in _OPTIONS}
     default, reads = _inputs(RunConfig(), _OPTIONS), _reads(subcommand)
@@ -415,13 +327,11 @@ def _unread_inputs(subcommand: str, cfg: RunConfig | None, args) -> list:
 def run(subcommand: str, config_path: str, out_dir: str, args) -> int:
     """Dispatch a subcommand; returns the process exit code."""
     command = _COMMANDS[subcommand][0]
-    cfg = None if subcommand == "report" else parse_config(_load_config_text(config_path))
+    cfg = parse_config(_load_config_text(config_path))
     unread = _unread_inputs(subcommand, cfg, args)
     if unread:
         raise ValidationError(unread)
     os.makedirs(out_dir, exist_ok=True)
-    if cfg is None:
-        return command(config_path, out_dir, args)[1]
     artifacts, code, seeds = command(cfg, out_dir, args)
     write_manifest(
         out_dir, subcommand, serialize_config(cfg), _constants(cfg), seeds, artifacts
@@ -441,7 +351,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="config file, or a manifest.json")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed-offset", type=int, default=_OPTIONS["--seed-offset"])
-    parser.add_argument("--format", choices=("csv", "svg"), default=_OPTIONS["--format"])
     args = parser.parse_args(argv)
 
     try:
@@ -451,8 +360,7 @@ def main(argv=None) -> int:
             print(f"error: {line}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_VALIDATION)
     except ArithmeticError as exc:
-        # what errors.value_range does not cover, e.g. stationary_moment's
-        # alpha**2 in ou-diagnostics at noise.ou_alpha = 1e300
+        # a safety net for arithmetic outside every errors.value_range scope
         print(
             f"error: floating-point range exceeded ({exc}); a config value is "
             "too large or too small to compute with",

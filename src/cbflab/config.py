@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass, field, fields as dc_fields
 
 from .errors import ValidationError
+from .experiments import eps_grid_violations
 from .fields import (
     SpectralVelocity, random_field, read_field, rescale_to_h, single_mode_field,
 )
@@ -316,8 +317,9 @@ def validate_config(cfg: RunConfig) -> list:
     The grid, physics, noise and constants rules are those of ``TorusGrid``,
     ``PhysicsParams``, ``NoiseConfig`` and ``EstimateConstants``, checked on
     the scalars without building a lattice, and the solver and snapshot
-    rules are ``SolverSettings.violations``; the rest are run settings that no
-    domain type owns.
+    rules are ``SolverSettings.violations``, and the sweep's noise levels
+    follow ``experiments.eps_grid_violations``; the rest are run settings
+    that no domain type owns.
     """
     g, ph, nz, sv, cs = cfg.grid, cfg.physics, cfg.noise, cfg.solver, cfg.constants
     p = TorusGrid.violations(g.dim, g.N, g.L, g.dealias_factor)
@@ -326,8 +328,7 @@ def validate_config(cfg: RunConfig) -> list:
         nz.mode, nz.epsilon, nz.ou_alpha, not isinstance(nz.phi, NoneSpec), g.dim
     )
     p += EstimateConstants.violations(cs.c1, cs.c2, cs.c3)
-    if any(not (0.0 < e <= 1.0) for e in nz.eps_grid):
-        p.append(f"noise.eps_grid: entries must lie in (0, 1], got {nz.eps_grid}")
+    p += eps_grid_violations(nz.eps_grid)
     for where, spec in (
         ("physics.forcing", ph.forcing),
         ("noise.phi", nz.phi),

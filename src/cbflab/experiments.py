@@ -15,13 +15,22 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .deterministic import find_singleton
-from .errors import NonConvergenceError, ValidationError
+from .errors import GridMismatchError, NonConvergenceError, ValidationError
 from .grid import TorusGrid
 from .operators import h_distance
 from .params import EstimateConstants, PhysicsParams, SolverSettings, step_count
 from .random_pde import ADDITIVE, MULTIPLICATIVE, NoiseConfig, pullback_sample
+from .runio import fmt
 
 logger = logging.getLogger(__name__)
+
+
+def eps_grid_violations(eps_grid) -> list:
+    """The sweep's rule on its noise levels: each lies in (0, 1]."""
+    if any(not (0.0 < e <= 1.0) for e in eps_grid):
+        return [f"noise.eps_grid: entries must lie in (0, 1], got {eps_grid}"]
+    return []
+
 
 def delta_theory(mode: str, r: float) -> float:
     """Predicted convergence exponent: (r+1)/(2r) additive, 1 multiplicative."""
@@ -77,6 +86,19 @@ class RateFit:
     log_means: list
     log_spreads: list
     residuals: list
+    #: How often the per-epsilon mean fails to shrink as epsilon shrinks.
+    mean_inversions: int
+
+    def summary(self) -> str:
+        lines = [
+            "rate sweep summary",
+            f"  fitted slope     : {fmt(self.slope)}",
+            f"  theory exponent  : {fmt(self.delta_theory)}",
+            f"  epsilon grid     : {', '.join(fmt(e) for e in self.eps_grid)}",
+            f"  samples per level: {fmt(self.n_samples)}",
+            f"  fit residuals    : {', '.join(fmt(v) for v in self.residuals)}",
+        ]
+        return "\n".join(lines) + "\n"
 
 
 def fit_rate(records, mode: str, r: float) -> RateFit:
@@ -99,6 +121,7 @@ def fit_rate(records, mode: str, r: float) -> RateFit:
     y = np.array(log_means)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
+    means = np.exp(log_means)  # ordered by decreasing epsilon
     return RateFit(
         slope=float(slope),
         intercept=float(intercept),
@@ -108,13 +131,8 @@ def fit_rate(records, mode: str, r: float) -> RateFit:
         log_means=log_means,
         log_spreads=log_spreads,
         residuals=[float(v) for v in resid],
+        mean_inversions=int(np.sum(means[1:] > means[:-1])),
     )
-
-
-def mean_inversions(fit: RateFit) -> int:
-    """How often the per-epsilon mean fails to shrink as epsilon shrinks."""
-    means = np.exp(fit.log_means)  # ordered by decreasing epsilon
-    return int(np.sum(means[1:] > means[:-1]))
 
 
 @dataclass
@@ -145,19 +163,29 @@ def rate_sweep(
     coupled pullback sample per epsilon, along ``noise`` (a template with
     epsilon = 0) with that epsilon and seed.  The pullback horizon is
     validated by the halving test at the largest epsilon for every seed, and
-    only converged records enter the fit.  A singleton search that does not
-    converge raises NonConvergenceError carrying its contraction log.
+    only converged records enter the fit.  Every input is checked before the
+    singleton search; a search that does not converge raises
+    NonConvergenceError carrying its contraction log.
     """
     if noise.epsilon != 0.0:
         raise ValidationError(
             f"noise.epsilon: the sweep template must have epsilon = 0, got {noise.epsilon}"
         )
     check_sweep_regime(noise.mode, grid.dim, params.r)
+    if noise.phi is not None and not noise.phi.grid.compatible(grid):
+        raise GridMismatchError("noise.phi lives on a different grid than grid")
+    problems = eps_grid_violations(eps_grid)
     eps_grid = sorted({float(e) for e in eps_grid}, reverse=True)
     if len(eps_grid) < 3:
-        raise ValidationError("sweep: need at least 3 epsilon levels")
+        problems.append(
+            f"noise.eps_grid: a sweep needs at least 3 epsilon levels, got {len(eps_grid)}"
+        )
     if n_samples < 2:
-        raise ValidationError("sweep: need at least 2 samples per level")
+        problems.append(
+            f"noise.n_samples: a sweep needs at least 2 samples per level, got {n_samples}"
+        )
+    if problems:
+        raise ValidationError(problems)
     # every setting before the singleton search, by SolverSettings' own fields
     SolverSettings.check(**{f.name: getattr(solver, f.name) for f in fields(SolverSettings)})
     step_count(solver.t_pull, solver.h, "solver.t_pull")

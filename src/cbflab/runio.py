@@ -34,24 +34,25 @@ def write_csv(path, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+def _numpy_to_python(obj):
+    """``json.dump``'s fallback: an ndarray as nested lists, a numpy scalar as
+    its Python value."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_numpy_to_python)
         fh.write("\n")
+
+
+def write_text(path, text) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def sha256_of(path) -> str:
@@ -79,7 +80,7 @@ def write_manifest(out_dir, subcommand, config_text, constants, seeds, artifacts
 
 
 # ---------------------------------------------------------------------------
-# SVG rate plot: a pure function of the fit JSON payload
+# SVG rate plot: a pure function of a rate fit and its sweep records
 # ---------------------------------------------------------------------------
 
 _W, _H, _PAD = 560, 420, 60.0
@@ -91,21 +92,15 @@ def _map(x, lo, hi, a, b):
     return a + (x - lo) * (b - a) / (hi - lo)
 
 
-def svg_rate_plot(fit_payload: dict, records=None) -> str:
-    """Log-log scatter of distances against epsilon with the fitted line."""
-    eps = [float(e) for e in fit_payload["eps_grid"]]
-    log_means = [float(v) for v in fit_payload["log_means"]]
-    slope = float(fit_payload["slope"])
-    intercept = float(fit_payload["intercept"])
-
-    xs = [math.log(e) for e in eps]
-    ys = list(log_means)
-    pts = []
-    if records:
-        for rec in records:
-            if rec["dist_h"] > 0:
-                pts.append((math.log(rec["epsilon"]), math.log(rec["dist_h"])))
-        ys += [p[1] for p in pts]
+def svg_rate_plot(fit, records) -> str:
+    """Log-log scatter of the records' distances against epsilon, with the
+    per-level means and the fitted line of ``fit`` (an ``experiments.RateFit``)."""
+    log_means, slope, intercept = fit.log_means, fit.slope, fit.intercept
+    xs = [math.log(e) for e in fit.eps_grid]
+    pts = [
+        (math.log(rec.epsilon), math.log(rec.dist_h)) for rec in records if rec.dist_h > 0
+    ]
+    ys = log_means + [p[1] for p in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     y_lo -= 0.05 * max(1e-12, y_hi - y_lo)
@@ -151,7 +146,7 @@ def svg_rate_plot(fit_payload: dict, records=None) -> str:
     parts.append(
         f'<text x="{_W - _PAD}" y="{_PAD - 16}" text-anchor="end" '
         f'font-family="monospace" font-size="13">slope {slope:.4f} '
-        f'(theory {float(fit_payload["delta_theory"]):.4f})</text>'
+        f'(theory {fit.delta_theory:.4f})</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

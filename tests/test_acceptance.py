@@ -33,7 +33,6 @@ from cbflab import (
 )
 from cbflab.conditions import check_singleton_condition, threshold_2d, threshold_3d_crit
 from cbflab.deterministic import energy_residual
-from cbflab.experiments import mean_inversions
 from cbflab.fields import hermitianize
 from cbflab.operators import a_norm, bilinear_B, damping_C, h_distance, v_norm
 from cbflab.params import SolverSettings
@@ -251,7 +250,7 @@ def test_criterion_08_multiplicative_rate(setup_2d_critical):
     assert elapsed < 1800.0
     assert all(rec.converged for rec in result.records)
     assert result.fit.slope >= 1.0 - 0.15
-    inversions = mean_inversions(result.fit)
+    inversions = result.fit.mean_inversions
     assert inversions <= 1
     report(
         "criterion-8",

@@ -74,13 +74,22 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "3D grid" in err  # the 2-component forcing mode is also reported
 
 
-def test_format_json_is_not_a_choice(tmp_path, capsys):
-    # json output is the csv output; only csv and svg are formats
-    cfg = write(tmp_path, "c.cfg", BASE)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--format", "svg"], "unrecognized arguments: --format svg"),
+        (["report"], "invalid choice: 'report'"),
+    ],
+    ids=["format-option", "report-subcommand"],
+)
+def test_argparse_rejects_report_and_format(tmp_path, capsys, argv, message):
+    # sweep writes its summary and plot itself, so neither exists
+    cfg = write(tmp_path, "c.cfg", SWEEP)
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--format", "json"])
+        main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
-    assert "invalid choice: 'json'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_writes_trajectory(tmp_path):
@@ -100,10 +109,10 @@ def test_singleton_nonconvergence_exit_code(tmp_path):
     assert (out / "a_star.cbff").exists()
 
 
-def test_sweep_record_count_contract(tmp_path):
+def test_sweep_record_count_contract(tmp_path, capsys):
     cfg = write(tmp_path, "sw.cfg", SWEEP)
     out = tmp_path / "sweep"
-    code = main(["sweep", "--config", cfg, "--out", str(out), "--format", "svg"])
+    code = main(["sweep", "--config", cfg, "--out", str(out)])
     assert code == 0
     lines = (out / "records.csv").read_text().strip().splitlines()
     assert lines[0] == "epsilon,seed,mode,r,dist_h,t_pull,converged"
@@ -111,8 +120,15 @@ def test_sweep_record_count_contract(tmp_path):
     assert len(lines) == 1 + 3 * 2  # 3 epsilon levels x 2 seeds
     fit = json.loads((out / "fit.json").read_text())
     assert set(fit) >= {"slope", "intercept", "delta_theory", "eps_grid", "n_samples", "residuals"}
-    assert set(fit) == {f.name for f in fields(RateFit)} | {"mean_inversions"}
+    assert set(fit) == {f.name for f in fields(RateFit)}
+    assert isinstance(fit["mean_inversions"], int)
+    # the summary it prints, and its plot, written next to the records
+    text = (out / "summary.txt").read_text()
+    assert "fitted slope" in text
+    assert capsys.readouterr().out == text
     assert (out / "fit.svg").read_text().startswith("<svg")
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert sorted(artifacts) == ["fit.json", "fit.svg", "records.csv", "summary.txt"]
 
 
 def test_manifest_rerun_byte_identical(tmp_path):
@@ -126,22 +142,6 @@ def test_manifest_rerun_byte_identical(tmp_path):
     m1 = json.loads(manifest.read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["artifacts"] == m2["artifacts"]
-
-
-def test_report_renders_summary(tmp_path, capsys):
-    cfg = write(tmp_path, "sw.cfg", SWEEP)
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    rep = tmp_path / "report"
-    code = main(["report", "--config", str(out), "--out", str(rep), "--format", "svg"])
-    assert code == 0
-    text = (rep / "summary.txt").read_text()
-    assert "fitted slope" in text
-    assert (rep / "fit.svg").exists()
-    # pointing directly at the fit JSON works too
-    rep2 = tmp_path / "report2"
-    assert main(["report", "--config", str(out / "fit.json"), "--out", str(rep2)]) == 0
-    assert (rep2 / "summary.txt").read_text() == text
 
 
 def test_pullback_subcommand(tmp_path):
@@ -329,6 +329,9 @@ _ETA3_RANGE = _CONDITION_RANGE.replace("forcing:", "forcing, physics.beta, physi
         ("seeds.cfg", (BASE + "\n[noise]\nn_samples = 2000000\n").encode(), "error: noise.n_samples: "),
         *[(f"L{length}.cfg", BASE.replace("N = 16", f"N = 8\nL = {length}").encode(),
            _CONDITION_RANGE) for length in ("1e-150", "1e-100", "1e100", "1e150")],
+        # the stationary moments overflow, or divide by an underflowed alpha**2
+        *[(f"ou-alpha-{alpha}.cfg", f"[noise]\nou_alpha = {alpha}\n".encode(),
+           "error: noise.ou_alpha: out of the range ") for alpha in ("1e300", "1e-300")],
     ],
     ids=[
         "bad-json", "not-utf8", "missing-field-file", "mu-overflow", "eta3-overflow",
@@ -336,57 +339,20 @@ _ETA3_RANGE = _CONDITION_RANGE.replace("forcing:", "forcing, physics.beta, physi
         "nan-forcing-h-norm", "negative-forcing-h-norm", "inf-forcing-h-norm",
         "overflowing-forcing-h-norm", "nan-forcing-mode", "forcing-h-norm-without-forcing",
         "too-many-noise-seeds", "L-1e-150", "L-1e-100", "L-1e100", "L-1e150",
+        "ou-alpha-1e300", "ou-alpha-1e-300",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, name, payload, start):
-    # one error line, no traceback, and no numpy RuntimeWarning on the way
+    # one error line, no traceback, and no numpy RuntimeWarning on the way;
+    # the ou-* configs run ou-diagnostics, every other one check-conditions
     cfg = tmp_path / name
     cfg.write_bytes(payload)
-    code = main(["check-conditions", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    subcommand = "ou-diagnostics" if name.startswith("ou-") else "check-conditions"
+    code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(start) and err.count("\n") == 1
     assert "Traceback" not in err
-
-
-FIT = json.dumps({
-    "slope": 1.0, "intercept": 0.0, "delta_theory": 1.0, "eps_grid": [0.1, 0.05, 0.025],
-    "n_samples": 2, "residuals": [0.0, 0.0, 0.0], "log_means": [-1.0, -2.0, -3.0],
-})
-RECORDS = "epsilon,seed,mode,r,dist_h,t_pull,converged\n0.1,0,multiplicative,3.0,0.5,8.0,True\n"
-
-
-@pytest.mark.parametrize(
-    "fit, records, code",
-    [
-        (FIT, RECORDS, 0),
-        ('{"slope": 1}', None, 2),
-        ('{"slope": ', None, 2),
-        ("[1, 2]", None, 2),
-        (FIT.replace('"slope": 1.0', '"slope": "steep"'), None, 2),
-        (FIT.replace("0.025]", "0.0]"), None, 2),
-        (FIT, "epsilon,seed\n0.1,0\n", 2),
-        (FIT, RECORDS.replace("0.5", "far"), 2),
-    ],
-    ids=[
-        "valid", "missing-keys", "truncated", "not-an-object", "non-numeric-slope",
-        "zero-epsilon", "records-missing-column", "records-non-numeric",
-    ],
-)
-def test_report_rejects_malformed_sweep_output(tmp_path, capsys, fit, records, code):
-    src = tmp_path / "sweep"
-    src.mkdir()
-    (src / "fit.json").write_text(fit)
-    if records is not None:
-        (src / "records.csv").write_text(records)
-    out = tmp_path / "rep"
-    assert main(["report", "--config", str(src), "--out", str(out), "--format", "svg"]) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code:
-        assert err.startswith("error: ")
-    else:
-        assert (out / "fit.svg").read_text().startswith("<svg")
 
 
 PULLBACK = BASE + (
@@ -498,15 +464,14 @@ OFF_DEFAULT = {
     "constants.c3": "[constants]\nc3 = 1.0",
     "output.snapshot_every": "[output]\nsnapshot_every = 10",
     "--seed-offset": ["--seed-offset", "2"],
-    "--format": ["--format", "svg"],
 }
 
-#: Every subcommand with every input it does not read; report takes no config.
+#: Every subcommand with every input it does not read.
 UNREAD = [
     (subcommand, name)
     for subcommand in cli._COMMANDS
     for name in cli._inputs(RunConfig(), cli._OPTIONS)
-    if name not in cli._reads(subcommand) and (subcommand != "report" or name.startswith("--"))
+    if name not in cli._reads(subcommand)
 ]
 
 
@@ -516,11 +481,7 @@ def test_keys_a_subcommand_would_drop_are_rejected(tmp_path, capsys, subcommand,
     setting, extra = OFF_DEFAULT[name], []
     if name.startswith("--"):
         setting, extra = "", setting
-    if subcommand == "report":
-        (tmp_path / "fit.json").write_text(FIT)
-        cfg = str(tmp_path)
-    else:
-        cfg = write(tmp_path, "c.cfg", CONFIGS[subcommand] + f"\n{setting}\n")
+    cfg = write(tmp_path, "c.cfg", CONFIGS[subcommand] + f"\n{setting}\n")
     out = tmp_path / "o"
     assert main([subcommand, "--config", cfg, "--out", str(out), *extra]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -559,15 +520,11 @@ def test_command_entries_list_exactly_the_inputs_read(tmp_path, capsys, subcomma
     # a run on a small config records the keys and options its code reads
     reads = set()
     command = cli._COMMANDS[subcommand][0]
-    if subcommand == "report":
-        (tmp_path / "fit.json").write_text(FIT)
-        command(str(tmp_path), str(tmp_path), RecordingArgs(reads))
-    else:
-        cfg = parse_config(CONFIGS[subcommand])
-        recorded = RunConfig(**{
-            f.name: _recording(getattr(cfg, f.name), f.name, reads) for f in fields(cfg)
-        })
-        command(recorded, str(tmp_path), RecordingArgs(reads))
+    cfg = parse_config(CONFIGS[subcommand])
+    recorded = RunConfig(**{
+        f.name: _recording(getattr(cfg, f.name), f.name, reads) for f in fields(cfg)
+    })
+    command(recorded, str(tmp_path), RecordingArgs(reads))
     assert reads == cli._reads(subcommand)
 
 
@@ -576,9 +533,8 @@ def test_command_entries_list_exactly_the_inputs_read(tmp_path, capsys, subcomma
     [
         ("simulate", "/nonexistent/run.cfg"),
         ("simulate", "."),
-        ("report", "."),
     ],
-    ids=["missing-config", "config-is-a-directory", "report-without-fit-json"],
+    ids=["missing-config", "config-is-a-directory"],
 )
 def test_missing_input_exits_2(tmp_path, monkeypatch, capsys, subcommand, config):
     monkeypatch.chdir(tmp_path)

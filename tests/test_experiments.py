@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbflab import (
+    GridMismatchError,
     NoiseConfig,
     PhysicsParams,
     SweepRecord,
@@ -12,9 +13,10 @@ from cbflab import (
     ValidationError,
     fit_rate,
     probe_field,
+    random_field,
     rate_sweep,
 )
-from cbflab.experiments import check_sweep_regime, delta_theory, mean_inversions
+from cbflab.experiments import check_sweep_regime, delta_theory
 from cbflab.params import SolverSettings
 
 
@@ -96,15 +98,15 @@ def test_sweep_regime_gate():
 
 def test_mean_inversions_counts():
     recs = make_records([0.1, 0.05, 0.025], lambda e, s: e)
-    assert mean_inversions(fit_rate(recs, "multiplicative", 3.0)) == 0
+    assert fit_rate(recs, "multiplicative", 3.0).mean_inversions == 0
     wiggly = make_records(
         [0.1, 0.05, 0.025], lambda e, s: 0.05 if e == 0.05 else e
     )
-    assert mean_inversions(fit_rate(wiggly, "multiplicative", 3.0)) == 0
+    assert fit_rate(wiggly, "multiplicative", 3.0).mean_inversions == 0
     inverted = make_records(
         [0.1, 0.05, 0.025], lambda e, s: {0.1: 0.01, 0.05: 0.02, 0.025: 0.005}[e]
     )
-    assert mean_inversions(fit_rate(inverted, "multiplicative", 3.0)) == 1
+    assert fit_rate(inverted, "multiplicative", 3.0).mean_inversions == 1
 
 
 def test_records_validate_nonnegative_distance():
@@ -147,3 +149,38 @@ def test_sweep_checks_every_solver_setting_first():
     assert [v.split(":")[0] for v in info.value.violations] == [
         "solver.tol", "solver.pullback_tol", "solver.n_probes",
     ]
+
+
+@pytest.mark.parametrize(
+    "kind, error, message",
+    [
+        ("level-above-1", ValidationError, "noise.eps_grid: entries must lie in (0, 1]"),
+        ("two-levels", ValidationError, "noise.eps_grid: a sweep needs at least 3"),
+        ("one-sample", ValidationError, "noise.n_samples: a sweep needs at least 2"),
+        ("phi-on-another-grid", GridMismatchError, "noise.phi lives on a different grid"),
+    ],
+    ids=["level-above-1", "two-levels", "one-sample", "phi-on-another-grid"],
+)
+def test_sweep_checks_its_plan_before_any_step(monkeypatch, kind, error, message):
+    def no_drive(*args, **kwargs):
+        raise AssertionError("drive ran before the sweep's inputs were checked")
+
+    monkeypatch.setattr("cbflab.deterministic.drive", no_drive)
+    grid = TorusGrid(dim=2, N=16)
+    eps_grid, n_samples = (0.1, 0.05, 0.025), 2
+    noise = NoiseConfig(mode="multiplicative")
+    if kind == "level-above-1":
+        eps_grid = (0.1, 0.05, 2.0)
+    elif kind == "two-levels":
+        eps_grid = (0.1, 0.05)
+    elif kind == "one-sample":
+        n_samples = 1
+    else:
+        phi = random_field(TorusGrid(dim=2, N=8), 1, h_norm=1.0, kmax=2.0)
+        noise = NoiseConfig(mode="additive", phi=phi)
+    with pytest.raises(error) as info:
+        rate_sweep(
+            PhysicsParams(mu=1.0, beta=1.0, r=1.0), grid, noise, eps_grid, n_samples,
+            SolverSettings(),
+        )
+    assert str(info.value).startswith(message)
