@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -74,21 +75,24 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "3D grid" in err  # the 2-component forcing mode is also reported
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["sweep", "--format", "svg"], "unrecognized arguments: --format svg"),
-        (["report"], "invalid choice: 'report'"),
-    ],
-    ids=["format-option", "report-subcommand"],
-)
-def test_argparse_rejects_report_and_format(tmp_path, capsys, argv, message):
-    # sweep writes its summary and plot itself, so neither exists
+def test_format_json_is_not_a_choice(tmp_path, capsys):
+    # sweep writes its summary and plot itself, so no run takes a format
+    cfg = write(tmp_path, "c.cfg", SWEEP)
+    for fmt in ("json", "svg"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--format", fmt])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --format {fmt}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_is_not_a_subcommand(tmp_path, capsys):
+    # the summary and plot that report rendered are written by sweep
     cfg = write(tmp_path, "c.cfg", SWEEP)
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+        main(["report", "--config", cfg, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    assert "invalid choice: 'report'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -129,6 +133,22 @@ def test_sweep_record_count_contract(tmp_path, capsys):
     assert (out / "fit.svg").read_text().startswith("<svg")
     artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
     assert sorted(artifacts) == ["fit.json", "fit.svg", "records.csv", "summary.txt"]
+
+
+
+@pytest.fixture(scope="module")
+def sweep_out(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sweep")
+    cfg = write(tmp, "sw.cfg", SWEEP)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp / "o")]) == 0
+    return tmp / "o"
+
+
+@pytest.mark.parametrize("name", ["records.csv", "fit.json", "summary.txt", "fit.svg"])
+def test_sweep_manifest_hashes_each_artifact(sweep_out, name):
+    # the manifest's checksum is that of the bytes the sweep left on disk
+    artifacts = json.loads((sweep_out / "manifest.json").read_text())["artifacts"]
+    assert artifacts[name] == hashlib.sha256((sweep_out / name).read_bytes()).hexdigest()
 
 
 def test_manifest_rerun_byte_identical(tmp_path):

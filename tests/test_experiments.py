@@ -16,6 +16,7 @@ from cbflab import (
     random_field,
     rate_sweep,
 )
+from cbflab.config import NoiseSection, RunConfig, validate_config
 from cbflab.experiments import check_sweep_regime, delta_theory
 from cbflab.params import SolverSettings
 
@@ -184,3 +185,38 @@ def test_sweep_checks_its_plan_before_any_step(monkeypatch, kind, error, message
             SolverSettings(),
         )
     assert str(info.value).startswith(message)
+
+
+def _sweep_levels(monkeypatch, eps_grid):
+    """Run ``rate_sweep`` on ``eps_grid`` up to its first ``drive`` call."""
+
+    def no_drive(*args, **kwargs):
+        raise AssertionError("drive ran")
+
+    monkeypatch.setattr("cbflab.deterministic.drive", no_drive)
+    rate_sweep(
+        PhysicsParams(mu=1.0, beta=1.0, r=3.0), TorusGrid(dim=2, N=16),
+        NoiseConfig(mode="multiplicative"), eps_grid, 2, SolverSettings(),
+    )
+
+
+@pytest.mark.parametrize(
+    "level", [0.0, -0.1, 1.5, math.nan, math.inf], ids=["zero", "negative", "1.5", "nan", "inf"]
+)
+def test_config_and_sweep_reject_the_same_levels(monkeypatch, level):
+    eps_grid = (0.1, 0.05, level)
+    message = "noise.eps_grid: entries must lie in (0, 1]"
+    problems = validate_config(RunConfig(noise=NoiseSection(eps_grid=eps_grid)))
+    assert any(line.startswith(message) for line in problems)
+    with pytest.raises(ValidationError) as info:
+        _sweep_levels(monkeypatch, eps_grid)
+    assert str(info.value).startswith(message)
+
+
+def test_config_and_sweep_accept_a_level_of_1(monkeypatch):
+    eps_grid = (1.0, 0.5, 0.25)
+    problems = validate_config(RunConfig(noise=NoiseSection(eps_grid=eps_grid)))
+    assert not any(line.startswith("noise.eps_grid") for line in problems)
+    # the sweep's plan passes its checks and goes on to the singleton search
+    with pytest.raises(AssertionError, match="drive ran"):
+        _sweep_levels(monkeypatch, eps_grid)
