@@ -5,20 +5,26 @@ Usage: python scripts/artifact_digest.py OUT
 
 Runs 16 `cbflab` subcommands in-process, each into its own directory under
 OUT, with the configs below: sweeps (multiplicative, a manifest-style
-multiplicative config with two seed offsets, additive at r = 1); pullbacks
-(multiplicative with two seed offsets, additive, `none`, 3D multiplicative);
+multiplicative config with two noise seeds, additive at r = 1); pullbacks
+(multiplicative with two noise seeds, additive, `none`, 3D multiplicative);
 singleton searches (one that converges and two that stop at their budget);
 `simulate` in 2D and 3D with snapshots; `check-conditions`; `ou-diagnostics`.
-Prints one `sha256  run/file` line per file, `manifest.json` included,
+Prints the `env` lines of `digest_environment()`, one `# run: exit code` line
+per run, then one `sha256  run/file` line per file, `manifest.json` included,
 sorted.  Two checkouts that compute the same numbers print the
-same lines, so `diff` of two outputs checks a refactor end to end.
+same lines, so `diff` of two outputs checks a refactor end to end, and
+`python scripts/artifact_digest.py OUT > tests/golden/artifact_digest.txt`
+regenerates the golden digest.
 """
 
 import contextlib
 import hashlib
 import io
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from cbflab.cli import main as cli_main
 
@@ -131,27 +137,41 @@ ou_alpha = 2.5
 seed = 3
 """
 
-#: (run name, subcommand, config text, extra arguments)
+#: (run name, subcommand, config text)
 RUNS = (
-    ("sweep", "sweep", SWEEP.format(seed=0, t_pull=8.0), []),
-    ("sweep-c11", "sweep", SWEEP.format(seed=40, t_pull=10.0), []),
-    ("sweep-c11-offset3", "sweep", SWEEP.format(seed=40, t_pull=10.0), ["--seed-offset", "3"]),
-    ("sweep-additive-r1", "sweep", ADDITIVE_SWEEP, []),
-    ("pullback-mult", "pullback", PULLBACK.format(mode="multiplicative", eps=0.1, phi=""), []),
-    ("pullback-mult-offset2", "pullback",
-     PULLBACK.format(mode="multiplicative", eps=0.1, phi=""), ["--seed-offset", "2"]),
+    ("sweep", "sweep", SWEEP.format(seed=0, t_pull=8.0)),
+    ("sweep-c11", "sweep", SWEEP.format(seed=40, t_pull=10.0)),
+    ("sweep-c11-seed43", "sweep", SWEEP.format(seed=43, t_pull=10.0)),
+    ("sweep-additive-r1", "sweep", ADDITIVE_SWEEP),
+    ("pullback-mult", "pullback", PULLBACK.format(mode="multiplicative", eps=0.1, phi="")),
+    # the seed set by an appended override: a key set twice takes its later value
+    ("pullback-mult-seed5", "pullback",
+     PULLBACK.format(mode="multiplicative", eps=0.1, phi="") + "\n[noise]\nseed = 5\n"),
     ("pullback-additive", "pullback",
-     PULLBACK.format(mode="additive", eps=0.1, phi="phi = random seed=42 hnorm=1.0 kmax=4\n"), []),
-    ("pullback-none", "pullback", PULLBACK.format(mode="none", eps=0.0, phi=""), []),
-    ("pullback-3d-mult", "pullback", PULLBACK_3D, []),
-    ("singleton", "singleton", SINGLETON.format(h=0.02, T=60.0), []),
-    ("singleton-budget", "singleton", SINGLETON.format(h=0.02, T=2.5), []),
-    ("singleton-budget-h003", "singleton", SINGLETON.format(h=0.03, T=2.97), []),
-    ("simulate-2d", "simulate", SIMULATE.format(base=BASE, kmax=4), []),
-    ("simulate-3d", "simulate", SIMULATE.format(base=BASE_3D, kmax=2), []),
-    ("check-conditions", "check-conditions", BASE, []),
-    ("ou-diagnostics", "ou-diagnostics", OU, []),
+     PULLBACK.format(mode="additive", eps=0.1, phi="phi = random seed=42 hnorm=1.0 kmax=4\n")),
+    ("pullback-none", "pullback", PULLBACK.format(mode="none", eps=0.0, phi="")),
+    ("pullback-3d-mult", "pullback", PULLBACK_3D),
+    ("singleton", "singleton", SINGLETON.format(h=0.02, T=60.0)),
+    ("singleton-budget", "singleton", SINGLETON.format(h=0.02, T=2.5)),
+    ("singleton-budget-h003", "singleton", SINGLETON.format(h=0.03, T=2.97)),
+    ("simulate-2d", "simulate", SIMULATE.format(base=BASE, kmax=4)),
+    ("simulate-3d", "simulate", SIMULATE.format(base=BASE_3D, kmax=2)),
+    ("check-conditions", "check-conditions", BASE),
+    ("ou-diagnostics", "ou-diagnostics", OU),
 )
+
+
+def digest_environment() -> list:
+    """The header of the digest: what the artifact bytes depend on besides
+    the code.  The SIMD extensions decide which kernels numpy's BLAS runs,
+    and the dense DFT products go through them."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return [
+        f"env numpy {np.__version__}",
+        f"env python {platform.python_version()}",
+        f"env machine {platform.machine()}",
+        f"env simd {' '.join(simd)}",
+    ]
 
 
 def sha256(path: Path) -> str:
@@ -162,13 +182,14 @@ def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     out = Path(sys.argv[1])
-    for name, sub, text, extra in RUNS:
+    print("\n".join(digest_environment()))
+    for name, sub, text in RUNS:
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
         config = str(run_dir / "run.cfg")
         Path(config).write_text(text)
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main([sub, "--config", config, "--out", str(run_dir), *extra])
+            code = cli_main([sub, "--config", config, "--out", str(run_dir)])
         print(f"# {name}: exit {code}")
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "run.cfg":

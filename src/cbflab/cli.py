@@ -94,7 +94,7 @@ def _constants(cfg: RunConfig) -> EstimateConstants:
 # and the noise seeds it drew)
 # ---------------------------------------------------------------------------
 
-def _cmd_check_conditions(cfg, out_dir, args):
+def _cmd_check_conditions(cfg, out_dir):
     grid, params = _materialize(cfg)
     report = check_singleton_condition(params, grid, _constants(cfg))
     print(report.summary())
@@ -103,7 +103,7 @@ def _cmd_check_conditions(cfg, out_dir, args):
     return [path], EXIT_OK, []
 
 
-def _cmd_simulate(cfg, out_dir, args):
+def _cmd_simulate(cfg, out_dir):
     grid, params, u0 = _materialize(cfg, "solver.initial")
     u0 = zero_velocity(grid) if u0 is None else u0
     snap = cfg.output.snapshot_every
@@ -128,7 +128,7 @@ def _cmd_simulate(cfg, out_dir, args):
     return artifacts, EXIT_OK, []
 
 
-def _cmd_singleton(cfg, out_dir, args):
+def _cmd_singleton(cfg, out_dir):
     grid, params = _materialize(cfg)
     result = find_singleton(
         params, grid, tol=cfg.solver.tol, maxT=cfg.solver.T,
@@ -155,12 +155,12 @@ def _cmd_singleton(cfg, out_dir, args):
     return artifacts, EXIT_OK, []
 
 
-def _cmd_pullback(cfg, out_dir, args):
+def _cmd_pullback(cfg, out_dir):
     grid, params, phi, v0 = _materialize(cfg, "noise.phi", "solver.initial")
     noise = NoiseConfig(
         mode=cfg.noise.mode, epsilon=cfg.noise.epsilon,
         phi=phi, ou_alpha=cfg.noise.ou_alpha,
-        seed=cfg.noise.seed + args.seed_offset,
+        seed=cfg.noise.seed,
     )
     sample = pullback_sample(
         params, noise, cfg.solver.t_pull, cfg.solver.h,
@@ -190,11 +190,11 @@ def _cmd_pullback(cfg, out_dir, args):
     return artifacts, EXIT_OK, [noise.seed]
 
 
-def _cmd_sweep(cfg, out_dir, args):
+def _cmd_sweep(cfg, out_dir):
     grid, params, phi = _materialize(cfg, "noise.phi")
     noise = NoiseConfig(
         mode=cfg.noise.mode, phi=phi, ou_alpha=cfg.noise.ou_alpha,
-        seed=cfg.noise.seed + args.seed_offset,
+        seed=cfg.noise.seed,
     )
     result = rate_sweep(
         params, grid, noise, cfg.noise.eps_grid, cfg.noise.n_samples, cfg.solver,
@@ -215,7 +215,7 @@ def _cmd_sweep(cfg, out_dir, args):
     return [rec_path, fit_path, summary_path, svg_path], EXIT_OK, result.seeds
 
 
-def _cmd_ou_diagnostics(cfg, out_dir, args):
+def _cmd_ou_diagnostics(cfg, out_dir):
     alpha = cfg.noise.ou_alpha
     seeds = range(cfg.noise.seed, cfg.noise.seed + max(cfg.noise.n_samples, 1000))
     with value_range("noise.ou_alpha"):
@@ -256,19 +256,15 @@ def _cmd_ou_diagnostics(cfg, out_dir, args):
     return [path, dump_path], EXIT_OK, list(seeds)
 
 
-#: The options a run takes besides --config and --out, with their defaults.
-_OPTIONS = {"--seed-offset": 0}
-
-
 def _keys(section: str, names: str) -> tuple:
     return tuple(f"{section}.{name}" for name in names.split())
 
 
-#: Each subcommand, in the order ``--help`` lists them, with the inputs it
-#: reads: whole config sections by name, single keys as ``section.key`` and
-#: options as ``--option``.  An input counts as read when its value reaches
-#: what the run computes; the manifest's copy of the config does not count.
-#: Every other input must stay at its default (see ``_unread_inputs``).
+#: Each subcommand, in the order ``--help`` lists them, with the config keys it
+#: reads: whole sections by name, single keys as ``section.key``.  A key counts
+#: as read when its value reaches what the run computes; the manifest's copy of
+#: the config does not count.  Every other key must stay at its default (see
+#: ``_unread_inputs``).
 _COMMANDS = {
     "check-conditions": (_cmd_check_conditions, ("grid", "physics", "constants")),
     "simulate": (_cmd_simulate, (
@@ -281,58 +277,54 @@ _COMMANDS = {
     "pullback": (_cmd_pullback, (
         "grid", "physics", *_keys("noise", "mode epsilon phi ou_alpha seed"),
         *_keys("solver", "h t_pull pullback_tol cfl_safety blowup_guard initial"),
-        "--seed-offset",
     )),
     "sweep": (_cmd_sweep, (
         "grid", "physics", "constants",
         *_keys("noise", "mode eps_grid phi ou_alpha seed n_samples"),
         *_keys("solver", "h T t_pull tol pullback_tol n_probes cfl_safety blowup_guard"),
-        "--seed-offset",
     )),
     "ou-diagnostics": (_cmd_ou_diagnostics, _keys("noise", "ou_alpha seed n_samples")),
 }
 
 
-def _inputs(cfg: RunConfig, options: dict) -> dict:
-    """Every key of ``cfg`` as ``section.key``, then ``options``."""
-    keys = {
+def _inputs(cfg: RunConfig) -> dict:
+    """Every key of ``cfg`` as ``section.key``."""
+    return {
         f"{section.name}.{key.name}": getattr(values, key.name)
         for section in dc_fields(cfg)
         for values in [getattr(cfg, section.name)]
         for key in dc_fields(values)
     }
-    return {**keys, **options}
 
 
 def _reads(subcommand: str) -> set:
-    """The config keys and options ``subcommand`` reads, its whole sections spelled out."""
+    """The config keys ``subcommand`` reads, its whole sections spelled out."""
     entry = _COMMANDS[subcommand][1]
     return {
-        name for name in _inputs(RunConfig(), _OPTIONS)
+        name for name in _inputs(RunConfig())
         if name in entry or name.split(".")[0] in entry
     }
 
 
-def _unread_inputs(subcommand: str, cfg: RunConfig, args) -> list:
-    """A violation for every input off its default that ``subcommand`` does not read."""
-    options = {opt: getattr(args, opt[2:].replace("-", "_")) for opt in _OPTIONS}
-    default, reads = _inputs(RunConfig(), _OPTIONS), _reads(subcommand)
+def _unread_inputs(subcommand: str, cfg: RunConfig) -> list:
+    """A violation for every config key off its default that ``subcommand`` does not read."""
+    default, reads = _inputs(RunConfig()), _reads(subcommand)
     return [
         f"{name}: set, but {subcommand} does not use it; leave it at its default"
-        for name, value in _inputs(cfg, options).items()
+        for name, value in _inputs(cfg).items()
         if name not in reads and value != default[name]
     ]
 
 
-def run(subcommand: str, config_path: str, out_dir: str, args) -> int:
+def run(subcommand: str, config_path: str, out_dir: str) -> int:
     """Dispatch a subcommand; returns the process exit code."""
     command = _COMMANDS[subcommand][0]
     cfg = parse_config(_load_config_text(config_path))
-    unread = _unread_inputs(subcommand, cfg, args)
+    unread = _unread_inputs(subcommand, cfg)
     if unread:
         raise ValidationError(unread)
     os.makedirs(out_dir, exist_ok=True)
-    artifacts, code, seeds = command(cfg, out_dir, args)
+    artifacts, code, seeds = command(cfg, out_dir)
     write_manifest(
         out_dir, subcommand, serialize_config(cfg), _constants(cfg), seeds, artifacts
     )
@@ -350,11 +342,10 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="config file, or a manifest.json")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed-offset", type=int, default=_OPTIONS["--seed-offset"])
     args = parser.parse_args(argv)
 
     try:
-        return run(args.subcommand, args.config, args.out, args)
+        return run(args.subcommand, args.config, args.out)
     except CBFError as exc:
         for line in getattr(exc, "violations", [exc]):
             print(f"error: {line}", file=sys.stderr)

@@ -45,16 +45,18 @@ def check_sweep_regime(mode: str, dim: int, r: float) -> None:
     problems = []
     if mode == ADDITIVE:
         if dim != 2:
-            problems.append("sweep: additive noise rate theory is 2D only")
+            problems.append(f"grid.dim: additive sweep rate theory is 2D only, got {dim}")
         if not (1.0 <= r <= 2.0):
-            problems.append(f"sweep: additive rate theory needs 1 <= r <= 2, got {r}")
+            problems.append(f"physics.r: additive sweep rate theory needs 1 <= r <= 2, got {r}")
     elif mode == MULTIPLICATIVE:
         if dim == 3 and not (3.0 <= r <= 5.0):
             problems.append(
-                f"sweep: 3D multiplicative rate theory needs 3 <= r <= 5, got {r}"
+                f"physics.r: 3D multiplicative sweep rate theory needs 3 <= r <= 5, got {r}"
             )
     else:
-        problems.append(f"sweep: mode must be additive or multiplicative, got {mode!r}")
+        problems.append(
+            f"noise.mode: a sweep needs additive or multiplicative noise, got {mode!r}"
+        )
     if problems:
         raise ValidationError(problems)
 

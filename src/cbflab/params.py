@@ -5,7 +5,7 @@ rules, and the rule that turns a time span into a whole number of steps."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from .errors import ValidationError
@@ -13,6 +13,8 @@ from .fields import SpectralVelocity
 
 #: Marker attached to every condition report built from default constants.
 PROVISIONAL_LABEL = "provisional placeholders"
+#: Marker attached to every condition report built from other constants.
+USER_SUPPLIED_LABEL = "user-supplied"
 
 #: Noise modes: which transform turns the stochastic system into a random PDE.
 ADDITIVE = "additive"
@@ -156,12 +158,13 @@ class EstimateConstants:
 
     Exact values live in an external appendix, so they are configuration:
     the defaults are placeholders and every report that uses them says so.
+    ``label`` is derived from the values, never set.
     """
 
     c1: float = math.sqrt(2.0)
     c2: float = math.sqrt(2.0)
     c3: float = 2.0
-    label: str = PROVISIONAL_LABEL
+    label: str = field(init=False)
 
     @staticmethod
     def violations(c1, c2, c3) -> list:
@@ -175,3 +178,5 @@ class EstimateConstants:
         problems = self.violations(self.c1, self.c2, self.c3)
         if problems:
             raise ValidationError(problems)
+        default = all(getattr(self, f.name) == f.default for f in fields(self) if f.init)
+        object.__setattr__(self, "label", PROVISIONAL_LABEL if default else USER_SUPPLIED_LABEL)

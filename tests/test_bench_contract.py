@@ -17,7 +17,6 @@ import importlib.util
 import inspect
 import string
 from pathlib import Path
-from types import SimpleNamespace
 
 import cbflab.deterministic
 from cbflab import (
@@ -105,6 +104,4 @@ def test_sweep_workload_config_sets_only_keys_sweep_reads():
     names = {name for _, name, _, _ in string.Formatter().parse(template) if name}
     assert names == set(SWEEP_FIELDS)
     cfg = parse_config(template.format(**SWEEP_FIELDS))
-    # the workload passes no option: each is at its default
-    args = SimpleNamespace(seed_offset=0, format="csv")
-    assert cli._unread_inputs("sweep", cfg, args) == []
+    assert cli._unread_inputs("sweep", cfg) == []

@@ -65,6 +65,20 @@ def test_check_conditions_zero_forcing(tmp_path, capsys):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("constants,label", [
+    ("", "provisional placeholders"),
+    ("\n[constants]\nc1 = 1.0\nc2 = 1.0\nc3 = 1.0\n", "user-supplied"),
+], ids=["default", "from-config"])
+def test_check_conditions_labels_the_constants(tmp_path, capsys, constants, label):
+    # only the default constants are the placeholders
+    cfg = write(tmp_path, "c.cfg", BASE + constants)
+    out = tmp_path / "out"
+    assert main(["check-conditions", "--config", cfg, "--out", str(out)]) == 0
+    assert f"({label})" in capsys.readouterr().out
+    for name in ("conditions.json", "manifest.json"):
+        assert json.loads((out / name).read_text())["constants"]["label"] == label
+
+
 def test_validation_failure_exit_code(tmp_path, capsys):
     bad = BASE.replace("dim = 2", "dim = 3").replace("r = 3.0", "r = 2.0")
     cfg = write(tmp_path, "bad.cfg", bad)
@@ -387,11 +401,15 @@ def test_pullback_rejects_horizon_of_partial_steps(tmp_path, capsys):
     assert "t_pull: 0.035 is not a multiple of the step 0.01" in capsys.readouterr().err
 
 
-def test_pullback_seed_offset_shifts_the_noise_seed(tmp_path):
+@pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+def test_seed_offset_is_not_an_option(tmp_path, capsys, subcommand):
+    # the noise seed comes from the config alone, so a manifest records it
     cfg = write(tmp_path, "p.cfg", PULLBACK)
-    out = tmp_path / "o"
-    assert main(["pullback", "--config", cfg, "--out", str(out), "--seed-offset", "2"]) == 0
-    assert json.loads((out / "pullback_sample.json").read_text())["seed"] == 3
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--config", cfg, "--out", str(tmp_path / "o"), "--seed-offset", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed-offset 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 #: A config for each subcommand that sets only keys it reads, with the noise seed 5.
@@ -440,15 +458,27 @@ pullback_tol = 10.0
     ("ou-diagnostics", list(range(5, 1005))),
 ])
 def test_manifest_lists_the_seeds_drawn(tmp_path, subcommand, seeds):
-    # --seed-offset 2 where the subcommand reads it
-    offset = ["--seed-offset", "2"] if subcommand in ("pullback", "sweep") else []
-    cfg = write(tmp_path, "seeded.cfg", CONFIGS[subcommand])
+    # an appended seed override where the subcommand reads the seed
+    override = "\n[noise]\nseed = 7\n" if subcommand in ("pullback", "sweep") else ""
+    cfg = write(tmp_path, "seeded.cfg", CONFIGS[subcommand] + override)
     out = tmp_path / "o"
-    assert main([subcommand, "--config", cfg, "--out", str(out), *offset]) == 0
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["seeds"] == seeds
 
 
-#: Each config key and option off its default, with whatever else keeps the
+@pytest.mark.parametrize("subcommand", ["pullback", "sweep"])
+def test_seed_override_reruns_from_its_manifest(tmp_path, subcommand):
+    # a seed set by an appended override is in the manifest's config_text
+    cfg = write(tmp_path, "seeded.cfg", CONFIGS[subcommand] + "\n[noise]\nseed = 7\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([subcommand, "--config", cfg, "--out", str(first)]) == 0
+    assert main([subcommand, "--config", str(first / "manifest.json"), "--out", str(second)]) == 0
+    written = {p.name: p.read_bytes() for p in first.iterdir()}
+    assert "manifest.json" in written
+    assert {p.name: p.read_bytes() for p in second.iterdir()} == written
+
+
+#: Each config key off its default, with whatever else keeps the
 #: config valid for the subcommand's own CONFIGS entry.  A new key without an
 #: entry here fails the rejection test with a KeyError.
 OFF_DEFAULT = {
@@ -483,27 +513,23 @@ OFF_DEFAULT = {
     "constants.c2": "[constants]\nc2 = 1.0",
     "constants.c3": "[constants]\nc3 = 1.0",
     "output.snapshot_every": "[output]\nsnapshot_every = 10",
-    "--seed-offset": ["--seed-offset", "2"],
 }
 
-#: Every subcommand with every input it does not read.
+#: Every subcommand with every config key it does not read.
 UNREAD = [
     (subcommand, name)
     for subcommand in cli._COMMANDS
-    for name in cli._inputs(RunConfig(), cli._OPTIONS)
+    for name in cli._inputs(RunConfig())
     if name not in cli._reads(subcommand)
 ]
 
 
 @pytest.mark.parametrize("subcommand,name", UNREAD, ids=[f"{s}-{n}" for s, n in UNREAD])
 def test_keys_a_subcommand_would_drop_are_rejected(tmp_path, capsys, subcommand, name):
-    # every pair of a subcommand with an input that its _COMMANDS entry omits
-    setting, extra = OFF_DEFAULT[name], []
-    if name.startswith("--"):
-        setting, extra = "", setting
-    cfg = write(tmp_path, "c.cfg", CONFIGS[subcommand] + f"\n{setting}\n")
+    # every pair of a subcommand with a config key that its _COMMANDS entry omits
+    cfg = write(tmp_path, "c.cfg", CONFIGS[subcommand] + f"\n{OFF_DEFAULT[name]}\n")
     out = tmp_path / "o"
-    assert main([subcommand, "--config", cfg, "--out", str(out), *extra]) == 2
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert f"error: {name}: set, but {subcommand} does not use it; leave it at its default" in err
     assert all(line.endswith("does not use it; leave it at its default") for line in err)
@@ -523,28 +549,16 @@ def _recording(section, name, reads):
     return Recording(**{key: getattr(section, key) for key in keys})
 
 
-class RecordingArgs:
-    """Parsed options at their defaults, adding each option read to ``reads``."""
-
-    def __init__(self, reads):
-        self.reads = reads
-
-    def __getattr__(self, attr):
-        option = "--" + attr.replace("_", "-")
-        self.reads.add(option)
-        return cli._OPTIONS[option]
-
-
 @pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
 def test_command_entries_list_exactly_the_inputs_read(tmp_path, capsys, subcommand):
-    # a run on a small config records the keys and options its code reads
+    # a run on a small config records the keys its code reads
     reads = set()
     command = cli._COMMANDS[subcommand][0]
     cfg = parse_config(CONFIGS[subcommand])
     recorded = RunConfig(**{
         f.name: _recording(getattr(cfg, f.name), f.name, reads) for f in fields(cfg)
     })
-    command(recorded, str(tmp_path), RecordingArgs(reads))
+    command(recorded, str(tmp_path))
     assert reads == cli._reads(subcommand)
 
 
@@ -590,8 +604,8 @@ def _run_module(cfg, out, **env):
 
 @pytest.mark.parametrize("knob", ["output-directory", "CBF_LOG", "process"])
 def test_knobs_outside_the_contract_keep_every_byte(tmp_path, monkeypatch, knob):
-    # the reproducibility contract: only the config, --seed-offset, the numpy
-    # version and the BLAS kernel decide the bytes of a run, manifest.json included
+    # the reproducibility contract: only the config, the numpy version and the
+    # BLAS kernel decide the bytes of a run, manifest.json included
     cfg = write(tmp_path, "repro.cfg", REPRODUCIBLE)
     first, second = tmp_path / "first", tmp_path / "nested" / "second"
     if knob == "output-directory":

@@ -89,12 +89,18 @@ def test_sweep_regime_gate():
     check_sweep_regime("additive", 2, 1.5)
     check_sweep_regime("multiplicative", 2, 7.0)
     check_sweep_regime("multiplicative", 3, 4.0)
-    with pytest.raises(ValidationError):
-        check_sweep_regime("additive", 3, 1.0)
-    with pytest.raises(ValidationError):
-        check_sweep_regime("additive", 2, 3.0)
-    with pytest.raises(ValidationError):
-        check_sweep_regime("multiplicative", 3, 6.0)
+    # each violation names the config path it comes from
+    for args, message in [
+        (("additive", 3, 1.0), "grid.dim: additive sweep rate theory is 2D only, got 3"),
+        (("additive", 2, 3.0), "physics.r: additive sweep rate theory needs 1 <= r <= 2, got 3.0"),
+        (("multiplicative", 3, 6.0),
+         "physics.r: 3D multiplicative sweep rate theory needs 3 <= r <= 5, got 6.0"),
+        (("none", 2, 3.0),
+         "noise.mode: a sweep needs additive or multiplicative noise, got 'none'"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            check_sweep_regime(*args)
+        assert info.value.violations == [message]
 
 
 def test_mean_inversions_counts():

@@ -319,3 +319,53 @@ def test_noise_powers_of_ten_exit_cleanly(mode, mu, ou_alpha, hnorm):
     assert code in (0, 2, 3, 4), lines
     assert all(line.startswith("error: ") for line in lines)
     assert not any(line.startswith("error: floating-point range exceeded") for line in lines)
+
+
+#: A one-step 2D N = 8 singleton search with every input the range test scales.
+SINGLETON_RANGE = """
+[grid]
+dim = 2
+N = 8
+L = {L}
+
+[physics]
+mu = {mu}
+beta = {beta}
+r = {r}
+forcing = modes k=(1,0) a=(0j,{a}j)
+
+[solver]
+h = {h}
+T = {h}
+tol = {tol}
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    L=st.just("6.283185307179586") | powers,
+    mu=st.just("1.0") | powers,
+    beta=st.just("1.0") | powers,
+    a=st.just("0.01") | powers,
+    h=st.just("0.01") | powers,
+    tol=st.just("1e-6") | powers,
+    r=st.sampled_from(["1.0", "2.5", "3.0"]),
+)
+def test_singleton_powers_of_ten_exit_cleanly(L, mu, beta, a, h, tol, r):
+    """grid.L, physics.mu, physics.beta, the forcing amplitude, solver.h (with
+    T = h) and solver.tol at 10^k: an exit code of 0, 2, 3 or 4, only `error:`
+    lines that name what was out of range on stderr, and no numpy warning on
+    the way."""
+    text = SINGLETON_RANGE.format(L=L, mu=mu, beta=beta, r=r, a=a, h=h, tol=tol)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["singleton", "--config", path, "--out", os.path.join(tmp, "o")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3, 4), lines
+    assert all(line.startswith("error: ") for line in lines)
+    assert not any(line.startswith("error: floating-point range exceeded") for line in lines)

@@ -1,16 +1,14 @@
 """The scripts under scripts/ load against the current API and run."""
 
 import importlib.util
-import platform
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
-#: ``env`` header lines, then the output of ``scripts/artifact_digest.py OUT``.
+#: The output of ``scripts/artifact_digest.py OUT``, its ``env`` header first.
 GOLDEN_DIGEST = Path(__file__).resolve().parent / "golden" / "artifact_digest.txt"
 
 
@@ -63,32 +61,19 @@ def test_run_contraction_experiment_runs(monkeypatch, capsys):
     assert slope <= 0.8 * floor
 
 
-def digest_environment() -> list:
-    """The header of the golden digest: what the artifact bytes depend on
-    besides the code.  The SIMD extensions decide which kernels numpy's BLAS
-    runs, and the dense DFT products go through them."""
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    return [
-        f"env numpy {np.__version__}",
-        f"env python {platform.python_version()}",
-        f"env machine {platform.machine()}",
-        f"env simd {' '.join(simd)}",
-    ]
-
-
 def test_artifact_digest_matches_golden(tmp_path, monkeypatch, capsys):
     """The byte contract: the fixed CLI runs write the committed bytes.
 
     After a change that alters artifact bytes on purpose, regenerate the file
-    from ``digest_environment()`` and ``python scripts/artifact_digest.py OUT``.
+    with ``python scripts/artifact_digest.py OUT > tests/golden/artifact_digest.txt``.
     """
-    lines = GOLDEN_DIGEST.read_text().splitlines()
-    recorded = [line for line in lines if line.startswith("env ")]
-    if recorded != digest_environment():
-        pytest.skip(f"digests recorded on {recorded}, this is {digest_environment()}")
     script = _load(next(p for p in SCRIPTS if p.name == "artifact_digest.py"))
+    want = GOLDEN_DIGEST.read_text().splitlines()
+    recorded = [line for line in want if line.startswith("env ")]
+    if recorded != script.digest_environment():
+        pytest.skip(f"digests recorded on {recorded}, this is {script.digest_environment()}")
     monkeypatch.setattr(sys, "argv", ["artifact_digest.py", str(tmp_path)])
     script.main()
-    got, want = capsys.readouterr().out.splitlines(), lines[len(recorded):]
+    got = capsys.readouterr().out.splitlines()
     differ = sorted({line.split("  ")[-1] for line in set(got) ^ set(want)})
     assert got == want, f"digests differ for {differ}"
