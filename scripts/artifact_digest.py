@@ -18,6 +18,7 @@ regenerates the golden digest.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import platform
@@ -161,16 +162,29 @@ RUNS = (
 )
 
 
+def blas_corename() -> str:
+    """The kernel that numpy's bundled OpenBLAS runs (``OPENBLAS_CORETYPE``
+    overrides its pick), or ``unknown`` without that library or its symbol."""
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def digest_environment() -> list:
     """The header of the digest: what the artifact bytes depend on besides
-    the code.  The SIMD extensions decide which kernels numpy's BLAS runs,
-    and the dense DFT products go through them."""
+    the code.  The dense DFT products go through numpy's BLAS, whose kernel
+    the SIMD extensions pick unless ``OPENBLAS_CORETYPE`` names another."""
     simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     return [
         f"env numpy {np.__version__}",
         f"env python {platform.python_version()}",
         f"env machine {platform.machine()}",
         f"env simd {' '.join(simd)}",
+        f"env blas {blas_corename()}",
     ]
 
 

@@ -89,10 +89,14 @@ class ConditionReport:
         if self.eta3 is not None:
             lines.append(f"eta3 = {self.eta3!r}")
         c = self.constants
-        lines.append(
-            f"constants: c1 = {c.c1!r}, c2 = {c.c2!r}, c3 = {c.c3!r} ({c.label})"
-        )
+        lines.append(f"constants: c1 = {c.c1!r}, c3 = {c.c3!r} ({c.label})")
         return "\n".join(lines)
+
+
+def regime_inputs(regime: str) -> list:
+    """The config paths that ``regime``'s Grashof number, threshold and varrho read."""
+    inputs = ["grid.L", "physics.mu", "physics.forcing"]
+    return inputs + ["physics.beta", "physics.r"] if regime == "3D-r>3" else inputs
 
 
 def check_singleton_condition(
@@ -102,7 +106,7 @@ def check_singleton_condition(
     regime: str | None = None,
 ) -> ConditionReport:
     """Evaluate the small-forcing condition for the requested regime."""
-    if params.forcing is not None and not params.forcing.grid.compatible(grid):
+    if params.forcing is not None and params.forcing.grid != grid:
         raise GridMismatchError("the forcing lives on a different grid than grid")
     constants = constants or EstimateConstants()
     if regime is None:
@@ -124,11 +128,8 @@ def check_singleton_condition(
         raise ValidationError("physics.beta: 3D r > 3 condition requires beta > 0")
 
     mu, lam1, c1, c3 = params.mu, grid.lambda1, constants.c1, constants.c3
-    inputs = ["grid.L", "physics.mu", "physics.forcing"]
     eta = None
-    if regime == "3D-r>3":
-        inputs += ["physics.beta", "physics.r"]
-    with value_range(*inputs):
+    with value_range(*regime_inputs(regime)):
         g = grashof(params, grid)
         if regime == "2D-C1":
             thr = threshold_2d(mu, lam1, c1)

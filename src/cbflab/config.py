@@ -154,10 +154,10 @@ def build_field(spec, grid: TorusGrid, h_norm_override: float | None = None):
         return None
     if isinstance(spec, FileSpec):
         try:
-            u = read_field(spec.path, dealias_factor=grid.dealias_factor)
+            u = read_field(spec.path)
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise ValidationError(f"field file {spec.path}: cannot read ({exc})") from exc
-        if not u.grid.compatible(grid):
+        if u.grid != grid:
             raise ValidationError(f"field file {spec.path} has an incompatible grid")
     elif isinstance(spec, RandomSpec):
         u = random_field(grid, spec.seed, h_norm=spec.hnorm, kmax=spec.kmax)
@@ -181,7 +181,6 @@ class GridSection:
     dim: int = 2
     N: int = 32
     L: float = TorusGrid.L
-    dealias_factor: float = TorusGrid.dealias_factor
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,6 @@ class SolverSection(SolverSettings):
 @dataclass(frozen=True)
 class ConstantsSection:
     c1: float = EstimateConstants.c1
-    c2: float = EstimateConstants.c2
     c3: float = EstimateConstants.c3
 
 
@@ -322,12 +320,12 @@ def validate_config(cfg: RunConfig) -> list:
     that no domain type owns.
     """
     g, ph, nz, sv, cs = cfg.grid, cfg.physics, cfg.noise, cfg.solver, cfg.constants
-    p = TorusGrid.violations(g.dim, g.N, g.L, g.dealias_factor)
+    p = TorusGrid.violations(g.dim, g.N, g.L)
     p += PhysicsParams.violations(ph.mu, ph.beta, ph.r, ph.darcy, g.dim)
     p += NoiseConfig.violations(
         nz.mode, nz.epsilon, nz.ou_alpha, not isinstance(nz.phi, NoneSpec), g.dim
     )
-    p += EstimateConstants.violations(cs.c1, cs.c2, cs.c3)
+    p += EstimateConstants.violations(cs.c1, cs.c3)
     p += eps_grid_violations(nz.eps_grid)
     for where, spec in (
         ("physics.forcing", ph.forcing),

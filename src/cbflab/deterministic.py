@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import ConditionReport, check_singleton_condition
+from .conditions import ConditionReport, check_singleton_condition, regime_inputs
 from .errors import BlowUpError, CFLViolationError, ValidationError, value_range
 from .fields import SpectralVelocity, random_field
 from .grid import TorusGrid
@@ -190,8 +190,8 @@ def drive(
             g1, vmax = rhs(u, n)
             if vmax > 0.0 and h > dx_limit / vmax:
                 raise CFLViolationError(
-                    f"step {h} exceeds CFL bound {dx_limit / vmax:.3e} "
-                    f"at t = {t_arr[n]:.6g} (max |u| = {vmax:.6g})"
+                    f"solver.h, solver.cfl_safety: step {h} exceeds CFL bound "
+                    f"{dx_limit / vmax:.3e} at t = {t_arr[n]:.6g} (max |u| = {vmax:.6g})"
                 )
             mid = ex * (u + h * g1)
             g2, _ = rhs(mid, n)
@@ -350,8 +350,8 @@ def find_singleton(
     condition = check_singleton_condition(params, grid, constants)
     if not condition.holds:
         raise ValidationError(
-            f"singleton condition fails for {condition.regime}: "
-            f"varrho = {condition.varrho:.6g}"
+            f"{', '.join(regime_inputs(condition.regime))}: singleton condition fails "
+            f"for {condition.regime}: varrho = {condition.varrho:.6g}"
         )
 
     seeds = [base_seed + i for i in range(n_probes)]

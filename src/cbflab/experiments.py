@@ -174,7 +174,7 @@ def rate_sweep(
             f"noise.epsilon: the sweep template must have epsilon = 0, got {noise.epsilon}"
         )
     check_sweep_regime(noise.mode, grid.dim, params.r)
-    if noise.phi is not None and not noise.phi.grid.compatible(grid):
+    if noise.phi is not None and noise.phi.grid != grid:
         raise GridMismatchError("noise.phi lives on a different grid than grid")
     problems = eps_grid_violations(eps_grid)
     eps_grid = sorted({float(e) for e in eps_grid}, reverse=True)
@@ -198,7 +198,7 @@ def rate_sweep(
     )
     if not singleton.converged:
         raise NonConvergenceError(
-            "sweep: singleton search did not converge; raise maxT",
+            f"solver.T: the singleton search did not converge by T = {solver.T}; raise it",
             log=singleton.contraction_log,
         )
     a_star = singleton.a_star

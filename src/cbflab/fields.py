@@ -73,7 +73,7 @@ class SpectralVelocity:
         return full
 
     def same_grid(self, other: "SpectralVelocity") -> None:
-        if not self.grid.compatible(other.grid):
+        if self.grid != other.grid:
             raise GridMismatchError("fields live on different grids")
 
 
@@ -184,7 +184,7 @@ def write_field(path, u: SpectralVelocity) -> None:
         fh.write(payload)
 
 
-def read_field(path, dealias_factor: float = TorusGrid.dealias_factor) -> SpectralVelocity:
+def read_field(path) -> SpectralVelocity:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER_BYTES:
@@ -198,7 +198,7 @@ def read_field(path, dealias_factor: float = TorusGrid.dealias_factor) -> Spectr
     if not (dim_f.is_integer() and n_f.is_integer()):
         raise ValidationError(f"{path}: header dim {dim_f!r} and N {n_f!r} must be integers")
     dim, n = int(dim_f), int(n_f)
-    problems = TorusGrid.violations(dim, n, L, dealias_factor)
+    problems = TorusGrid.violations(dim, n, L)
     if problems:
         raise ValidationError([f"{path}: header {v}" for v in problems])
     count = dim * n**dim
@@ -207,7 +207,7 @@ def read_field(path, dealias_factor: float = TorusGrid.dealias_factor) -> Spectr
             f"{path}: {len(blob)} bytes, expected {_HEADER_BYTES + 16 * count} "
             f"for dim = {dim}, N = {n}"
         )
-    grid = TorusGrid(dim=dim, N=n, L=L, dealias_factor=dealias_factor)
+    grid = TorusGrid(dim=dim, N=n, L=L)
     flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER_BYTES, count=count)
     coeffs = np.moveaxis(flat.reshape((n,) * dim + (dim,)), -1, 0)
     return SpectralVelocity(grid, coeffs.astype(complex))

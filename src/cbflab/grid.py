@@ -52,6 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,9 +62,6 @@ from .errors import ValidationError
 QUADRATIC_PAD = 1.5
 #: Padding ratio used for the |u|^(r-1)u damping product and L^p quadrature.
 DAMPING_PAD = 2.0
-#: Largest accepted ``dealias_factor``: no product needs more than DAMPING_PAD,
-#: and each padded lattice grows as the factor to the power dim.
-MAX_PAD = 3.0
 #: The padded transforms of a lattice with N <= DENSE_MAX run as dense DFT
 #: products, those of larger lattices as pruned FFT passes.  A dense pass
 #: costs about N multiply-adds per point and an FFT pass about log m, so N
@@ -111,15 +109,13 @@ class TorusGrid:
         Modes per dimension; even, at least 8.
     L : float
         Period of the box.
-    dealias_factor : float
-        Zero-padding ratio for quadratic products, in [1, 3].  Values below
-        3/2 are accepted but the advection kernel always pads by at least 3/2.
     """
 
     dim: int
     N: int
     L: float = 2.0 * math.pi
-    dealias_factor: float = QUADRATIC_PAD
+    #: not a setting: the benchmark's byte counters (cbfbench/tracing.py) read it
+    dealias_factor: ClassVar[float] = QUADRATIC_PAD
 
     # caches populated in __post_init__; every array is read-only
     k: np.ndarray = field(init=False, repr=False, compare=False)
@@ -135,7 +131,7 @@ class TorusGrid:
     projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     @staticmethod
-    def violations(dim, N, L, dealias_factor) -> list:
+    def violations(dim, N, L) -> list:
         """Every violated grid rule; checks the scalars without building the lattice."""
         problems = []
         if dim not in (2, 3):
@@ -151,14 +147,10 @@ class TorusGrid:
                 fits = False
             if not fits:
                 problems.append(f"grid.L: 4 pi^2/L^2 and L^dim must be finite and > 0, got {L}")
-        if not (1.0 <= dealias_factor <= MAX_PAD):
-            problems.append(
-                f"grid.dealias_factor: must lie in [1, {MAX_PAD}], got {dealias_factor}"
-            )
         return problems
 
     def __post_init__(self):
-        problems = self.violations(self.dim, self.N, self.L, self.dealias_factor)
+        problems = self.violations(self.dim, self.N, self.L)
         if problems:
             raise ValidationError(problems)
 
@@ -208,13 +200,6 @@ class TorusGrid:
 
     def volume(self) -> float:
         return self.L**self.dim
-
-    def compatible(self, other: "TorusGrid") -> bool:
-        return (
-            self.dim == other.dim
-            and self.N == other.N
-            and self.L == other.L
-        )
 
     @property
     def half_shape(self) -> tuple:

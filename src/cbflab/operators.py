@@ -112,7 +112,7 @@ def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
     are formed.  The zero-frequency plane is left unsymmetrized.
     """
     dim = grid.dim
-    m = grid.padded_size(max(grid.dealias_factor, QUADRATIC_PAD))
+    m = grid.padded_size(QUADRATIC_PAD)
     if v_half is None:
         pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
         fields = 1
@@ -142,7 +142,7 @@ def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
 def _damping_half(grid: TorusGrid, u_half, r: float, scale: float = 1.0):
     """Unprojected scale * |u|^(r-1) u in the half layout, from the 2x lattice (r > 1)."""
     dim = grid.dim
-    m = grid.padded_size(max(grid.dealias_factor, DAMPING_PAD))
+    m = grid.padded_size(DAMPING_PAD)
     work = scratch(float, (dim + 2,) + (m,) * dim)
     u, weight = work[:dim], work[dim]
     grid.padded_irfft(u_half, m, u)
@@ -275,7 +275,7 @@ def a_norm(u: SpectralVelocity) -> float:
 def lr_norm_kernel(grid: TorusGrid, coeffs: np.ndarray, r: float) -> float:
     if r < 1:
         raise ValidationError(f"lr_norm exponent r must be >= 1, got {r}")
-    u_phys, m = grid.to_phys(coeffs, max(grid.dealias_factor, DAMPING_PAD))
+    u_phys, m = grid.to_phys(coeffs, DAMPING_PAD)
     mag = np.sqrt(np.sum(u_phys * u_phys, axis=0))
     w = (grid.L / m) ** grid.dim
     return float(np.power(np.sum(mag ** (r + 1.0)) * w, 1.0 / (r + 1.0)))

@@ -162,20 +162,19 @@ class EstimateConstants:
     """
 
     c1: float = math.sqrt(2.0)
-    c2: float = math.sqrt(2.0)
     c3: float = 2.0
     label: str = field(init=False)
 
     @staticmethod
-    def violations(c1, c2, c3) -> list:
+    def violations(c1, c3) -> list:
         return [
             f"constants.{name}: {_POSITIVE_FINITE}, got {val}"
-            for name, val in (("c1", c1), ("c2", c2), ("c3", c3))
+            for name, val in (("c1", c1), ("c3", c3))
             if not (0 < val < math.inf)
         ]
 
     def __post_init__(self):
-        problems = self.violations(self.c1, self.c2, self.c3)
+        problems = self.violations(self.c1, self.c3)
         if problems:
             raise ValidationError(problems)
         default = all(getattr(self, f.name) == f.default for f in fields(self) if f.init)

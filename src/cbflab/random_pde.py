@@ -150,7 +150,7 @@ def pullback_sample(
         raise ValidationError(f"solver.t_pull: the halving check needs 2 steps of h = {h}, got {n}")
     if v0 is None:
         v0 = zero_velocity(grid)
-    elif not v0.grid.compatible(grid):
+    elif v0.grid != grid:
         raise GridMismatchError("v0 lives on a different grid than grid")
 
     def run(steps: int) -> SpectralVelocity:

@@ -1,5 +1,6 @@
 """The names the benchmark's tracer patches, the step count it reads, the
-calls its workloads make and the config its sweep runs stay put.
+calls its workloads make, the config its sweep runs and the grid attribute
+its byte counters read stay put.
 
 ``cbfbench/tracing.py`` wraps cbflab functions by name and reads the step
 count of every ``drive`` call from its sixth positional argument, and
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import cbflab.deterministic
 from cbflab import (
-    NoiseConfig, PhysicsParams, TorusGrid, cli, find_singleton, pullback_sample,
-    single_mode_field,
+    NoiseConfig, PhysicsParams, TorusGrid, bilinear_B, cli, damping_C, find_singleton,
+    leray_project, pullback_sample, single_mode_field,
 )
 from cbflab.config import parse_config
 
@@ -41,6 +42,19 @@ def test_traced_targets_resolve():
     assert targets
     for span, owner, attr, _ in targets:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner!r} has no {attr}"
+
+
+def test_traced_kernels_count_their_bytes():
+    # the byte counters size the padded lattices from TorusGrid.dealias_factor
+    grid = TorusGrid(dim=2, N=8)
+    u = single_mode_field(grid, (1, 0), (0j, 1 + 0j), h_norm=0.5)
+    tracer = _tracing().Tracer()
+    with tracer.root():
+        bilinear_B(u)
+        damping_C(u, 3.0)
+        leray_project(grid, u.coeffs)
+    for kernel in ("bilinear_kernel", "damping_kernel", "leray_kernel"):
+        assert tracer.counts.get(f"operators.{kernel}:bytes", 0) > 0, kernel
 
 
 def test_drive_sixth_positional_parameter_is_n_steps():

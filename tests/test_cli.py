@@ -67,7 +67,7 @@ def test_check_conditions_zero_forcing(tmp_path, capsys):
 
 @pytest.mark.parametrize("constants,label", [
     ("", "provisional placeholders"),
-    ("\n[constants]\nc1 = 1.0\nc2 = 1.0\nc3 = 1.0\n", "user-supplied"),
+    ("\n[constants]\nc1 = 1.0\nc3 = 1.0\n", "user-supplied"),
 ], ids=["default", "from-config"])
 def test_check_conditions_labels_the_constants(tmp_path, capsys, constants, label):
     # only the default constants are the placeholders
@@ -176,6 +176,29 @@ def test_manifest_rerun_byte_identical(tmp_path):
     m1 = json.loads(manifest.read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["artifacts"] == m2["artifacts"]
+
+
+def test_manifest_with_removed_keys_exits_2(tmp_path, capsys):
+    # a manifest written while grid.dealias_factor and constants.c2 existed
+    # records both; deleting the two lines makes it run again
+    out = tmp_path / "o"
+    assert main(["check-conditions", "--config", write(tmp_path, "c.cfg", BASE),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    text = manifest["config_text"]
+    old = text.replace("[grid]\n", "[grid]\ndealias_factor = 1.5\n").replace(
+        "[constants]\n", "[constants]\nc2 = 1.4142135623730951\n"
+    )
+    capsys.readouterr()
+    path = write(tmp_path, "old.json", json.dumps({**manifest, "config_text": old}))
+    assert main(["check-conditions", "--config", path, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key grid.dealias_factor" in err and "unknown key constants.c2" in err
+    path = write(tmp_path, "new.json", json.dumps({**manifest, "config_text": text}))
+    assert main(["check-conditions", "--config", path, "--out", str(tmp_path / "q")]) == 0
+    assert (tmp_path / "q" / "conditions.json").read_bytes() == (
+        out / "conditions.json"
+    ).read_bytes()
 
 
 def test_pullback_subcommand(tmp_path):
@@ -300,7 +323,42 @@ def test_sweep_singleton_nonconvergence_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "sw.cfg", SWEEP.replace("T = 60.0", "T = 0.5"))
     code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "did not converge" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: solver.T: the singleton search did not converge by T = 0.5; raise it"
+    ]
+
+
+BASE_3D_R4 = """
+[grid]
+dim = 3
+N = 8
+
+[physics]
+r = 4.0
+forcing = modes k=(1,0,0) a=(0j,(1+0j),0j)
+forcing_h_norm = 100.0
+"""
+
+#: A singleton config that exits 2 and the start of its one stderr line
+EXIT_LINES = {
+    "cfl": (BASE + "\n[solver]\nh = 0.02\nT = 1.0\ncfl_safety = 1e-9\n",
+            "error: solver.h, solver.cfl_safety: step 0.02 exceeds CFL bound "),
+    "condition-2d": (BASE.replace("forcing_h_norm = 0.2", "forcing_h_norm = 1.0"),
+                     "error: grid.L, physics.mu, physics.forcing: singleton condition fails "
+                     "for 2D-C1: varrho = "),
+    "condition-3d": (BASE_3D_R4,
+                     "error: grid.L, physics.mu, physics.forcing, physics.beta, physics.r: "
+                     "singleton condition fails for 3D-r>3: varrho = "),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_LINES))
+def test_exit_lines_name_their_config_paths(tmp_path, capsys, case):
+    text, start = EXIT_LINES[case]
+    cfg = write(tmp_path, "c.cfg", text)
+    assert main(["singleton", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start), err
 
 
 @pytest.mark.parametrize("kind", ["random", "file"])
@@ -485,7 +543,6 @@ OFF_DEFAULT = {
     "grid.dim": "[grid]\ndim = 3",
     "grid.N": "[grid]\nN = 16",
     "grid.L": "[grid]\nL = 3.0",
-    "grid.dealias_factor": "[grid]\ndealias_factor = 2.0",
     "physics.mu": "[physics]\nmu = 2.0",
     "physics.beta": "[physics]\nbeta = 0.5",
     "physics.r": "[physics]\nr = 2.0",
@@ -510,7 +567,6 @@ OFF_DEFAULT = {
     "solver.n_probes": "[solver]\nn_probes = 4",
     "solver.initial": "[solver]\ninitial = random seed=1 hnorm=0.5 kmax=4",
     "constants.c1": "[constants]\nc1 = 1.0",
-    "constants.c2": "[constants]\nc2 = 1.0",
     "constants.c3": "[constants]\nc3 = 1.0",
     "output.snapshot_every": "[output]\nsnapshot_every = 10",
 }

@@ -105,7 +105,7 @@ def test_zero_forcing_condition_trivially_holds(grid2d, constants):
 def test_condition_hand_example(grid2d):
     # mu = lambda1 = c1 = 1, |f|_H = 0.5: varrho = 1 - 3/4 = 1/4,
     # threshold sqrt(1/3), G = 0.5 < threshold
-    cons = EstimateConstants(c1=1.0, c2=1.0, c3=1.0)
+    cons = EstimateConstants(c1=1.0, c3=1.0)
     f = single_mode_field(grid2d, (1, 0), (0.0, 1.0), h_norm=0.5)
     p = PhysicsParams(mu=1.0, beta=1.0, r=3.0, forcing=f)
     rep = check_singleton_condition(p, grid2d, cons, "2D-C1")
@@ -184,7 +184,7 @@ def test_reported_varrho_matches_paper_in_every_regime():
     for _ in range(40):
         for grid in grids:
             mu = rng.uniform(0.1, 4.0)
-            cons = EstimateConstants(c1=rng.uniform(0.3, 3.0), c2=1.0, c3=rng.uniform(0.3, 3.0))
+            cons = EstimateConstants(c1=rng.uniform(0.3, 3.0), c3=rng.uniform(0.3, 3.0))
             mode, amp = ((1, 0), (0.0, 1.0)) if grid.dim == 2 else ((1, 0, 0), (0.0, 1.0, 0.0))
             f = single_mode_field(grid, mode, amp, h_norm=rng.uniform(0.01, 2.0))
             f_h, lam1 = h_norm(f), grid.lambda1
@@ -216,7 +216,7 @@ def test_reported_varrho_matches_paper_in_every_regime():
 )
 def test_report_consistency_through_public_api(mu, f_h, c1):
     grid = TorusGrid(dim=2, N=16)
-    cons = EstimateConstants(c1=c1, c2=c1, c3=2.0)
+    cons = EstimateConstants(c1=c1, c3=2.0)
     f = None
     if f_h > 0:
         f = single_mode_field(grid, (1, 0), (0.0, 1.0), h_norm=f_h)

@@ -14,7 +14,9 @@ from cbflab import (
     find_singleton,
     pullback_sample,
     random_field,
+    read_field,
     simulate,
+    write_field,
     zero_velocity,
 )
 from cbflab.cli import main
@@ -42,7 +44,6 @@ r = 3.0
 def test_minimal_config_fills_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.physics.darcy == 0.0
-    assert cfg.grid.dealias_factor == 1.5
     assert cfg.solver.cfl_safety == 0.4
     assert cfg.grid.L == pytest.approx(2.0 * math.pi)
     assert isinstance(cfg.physics.forcing, NoneSpec)
@@ -54,7 +55,6 @@ DEFAULTS_TEXT = """[grid]
 dim = 2
 N = 32
 L = 6.283185307179586
-dealias_factor = 1.5
 
 [physics]
 mu = 1.0
@@ -84,7 +84,6 @@ initial = none
 
 [constants]
 c1 = 1.4142135623730951
-c2 = 1.4142135623730951
 c3 = 2.0
 
 [output]
@@ -306,7 +305,6 @@ _NONE = NoiseConfig(mode="none")
     "lines, build",
     [
         ("[grid]\nN = 7", lambda: TorusGrid(dim=2, N=7)),
-        ("[grid]\ndealias_factor = 0.5", lambda: TorusGrid(dim=2, N=16, dealias_factor=0.5)),
         ("[physics]\nr = 0.5", lambda: PhysicsParams(mu=1.0, beta=1.0, r=0.5)),
         ("[physics]\nbeta = nan", lambda: PhysicsParams(mu=1.0, beta=math.nan, r=3.0)),
         ("[grid]\ndim = 3\n[physics]\nbeta = 0.25",
@@ -314,7 +312,6 @@ _NONE = NoiseConfig(mode="none")
         ("[noise]\nmode = weird", lambda: NoiseConfig(mode="weird")),
         ("[noise]\nphi = random seed=1 hnorm=1.0 kmax=4",
          lambda: NoiseConfig(mode="none", phi=random_field(TorusGrid(dim=2, N=16), 1, kmax=4.0))),
-        ("[constants]\nc2 = 0", lambda: EstimateConstants(c2=0.0)),
         ("[solver]\nh = nan", lambda: simulate(_U0, _P, 1.0, math.nan)),
         ("[solver]\nT = nan", lambda: find_singleton(_P, _G, maxT=math.nan)),
         ("[solver]\ncfl_safety = nan", lambda: simulate(_U0, _P, 0.02, 0.01, cfl_safety=math.nan)),
@@ -332,8 +329,6 @@ _NONE = NoiseConfig(mode="none")
         ("[grid]\nL = 1e-160", lambda: TorusGrid(dim=2, N=16, L=1e-160)),
         ("[grid]\nL = 1e-300", lambda: TorusGrid(dim=2, N=16, L=1e-300)),
         ("[grid]\nL = 1e200", lambda: TorusGrid(dim=2, N=16, L=1e200)),
-        ("[grid]\ndealias_factor = inf", lambda: TorusGrid(dim=2, N=16, dealias_factor=math.inf)),
-        ("[grid]\ndealias_factor = 1e300", lambda: TorusGrid(dim=2, N=16, dealias_factor=1e300)),
         ("[physics]\nmu = inf", lambda: PhysicsParams(mu=math.inf, beta=1.0, r=3.0)),
         ("[physics]\nbeta = inf", lambda: PhysicsParams(mu=1.0, beta=math.inf, r=3.0)),
         ("[physics]\nr = inf", lambda: PhysicsParams(mu=1.0, beta=1.0, r=math.inf)),
@@ -345,7 +340,6 @@ _NONE = NoiseConfig(mode="none")
          )),
         ("[noise]\nou_alpha = inf", lambda: NoiseConfig(mode="none", ou_alpha=math.inf)),
         ("[constants]\nc1 = inf", lambda: EstimateConstants(c1=math.inf)),
-        ("[constants]\nc2 = inf", lambda: EstimateConstants(c2=math.inf)),
         ("[constants]\nc3 = inf", lambda: EstimateConstants(c3=math.inf)),
         ("[solver]\nh = inf", lambda: simulate(_U0, _P, 1.0, math.inf)),
         ("[solver]\nT = inf", lambda: simulate(_U0, _P, math.inf, 0.01)),
@@ -359,13 +353,13 @@ _NONE = NoiseConfig(mode="none")
          lambda: drive(_G, _U0.half, _P, None, 0.01, 2, blowup_guard=math.inf)),
     ],
     ids=[
-        "grid-N", "dealias", "r", "beta-nan", "3d-window", "mode", "phi-without-additive", "c2",
+        "grid-N", "r", "beta-nan", "3d-window", "mode", "phi-without-additive",
         "h-nan", "T-nan", "cfl-nan", "cfl-above-1", "guard-negative", "tol-zero",
         "pullback-tol-negative", "n-probes-1", "t-pull-nan", "snapshot-negative",
         "L-inf", "L-lambda1-inf", "L-squared-zero", "L-squared-overflow",
-        "dealias-inf", "dealias-huge", "mu-inf", "beta-inf", "r-inf", "darcy-inf", "darcy-noise",
+        "mu-inf", "beta-inf", "r-inf", "darcy-inf", "darcy-noise",
         "ou-alpha-inf",
-        "c1-inf", "c2-inf", "c3-inf", "h-inf", "T-inf", "t-pull-inf", "tol-inf",
+        "c1-inf", "c3-inf", "h-inf", "T-inf", "t-pull-inf", "tol-inf",
         "pullback-tol-inf", "guard-inf",
     ],
 )
@@ -375,3 +369,38 @@ def test_config_reports_the_domain_types_violations(lines, build):
     with pytest.raises(ValidationError) as from_config:
         parse_config(MINIMAL + "\n" + lines + "\n")
     assert set(from_type.value.violations) <= set(from_config.value.violations)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grid.dealias_factor", "1.5"),
+        ("grid.dealias_factor", "0.5"),
+        ("grid.dealias_factor", "inf"),
+        ("grid.dealias_factor", "1e300"),
+        ("constants.c2", "1.4142135623730951"),
+        ("constants.c2", "0"),
+        ("constants.c2", "inf"),
+    ],
+    ids=["dealias-default", "dealias", "dealias-inf", "dealias-huge", "c2-default", "c2", "c2-inf"],
+)
+def test_removed_keys_are_unknown(key, value):
+    # the padding ratios are fixed by the kernels and no formula reads c2, so
+    # neither is a setting, whatever its value, the old default included
+    section, name = key.split(".")
+    with pytest.raises(ValidationError) as err:
+        parse_config(MINIMAL + f"\n[{section}]\n{name} = {value}\n")
+    assert [v.split(": ", 1)[1] for v in err.value.violations] == [f"unknown key {key}"]
+
+
+def test_library_types_take_no_removed_argument(tmp_path):
+    path = tmp_path / "u.cbff"
+    write_field(path, zero_velocity(_G))
+    for build in (
+        lambda: TorusGrid(dim=2, N=16, dealias_factor=2.0),
+        lambda: read_field(path, dealias_factor=2.0),
+        lambda: EstimateConstants(c2=1.0),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert read_field(path).grid == _G

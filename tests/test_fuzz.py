@@ -369,3 +369,66 @@ def test_singleton_powers_of_ten_exit_cleanly(L, mu, beta, a, h, tol, r):
     assert code in (0, 2, 3, 4), lines
     assert all(line.startswith("error: ") for line in lines)
     assert not any(line.startswith("error: floating-point range exceeded") for line in lines)
+
+
+#: A 2D N = 8 sweep of three levels and two samples, with every input the
+#: range test scales; {phi} is the profile line of additive noise.  The
+#: singleton search and each pullback take three steps, and the loose tol
+#: ends the search at its one check, so the pullbacks and the fit run too.
+SWEEP_RANGE = """
+[grid]
+dim = 2
+N = 8
+
+[physics]
+mu = {mu}
+r = {r}
+forcing = modes k=(1,0) a=(0j,(1+0j))
+forcing_h_norm = 0.01
+
+[noise]
+mode = {mode}
+eps_grid = 0.1,0.05,0.025
+ou_alpha = {ou_alpha}
+{phi}
+n_samples = 2
+
+[solver]
+h = 0.01
+T = 0.03
+t_pull = 0.03
+tol = 1e3
+pullback_tol = {pullback_tol}
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["additive", "multiplicative"]),
+    mu=st.just("1.0") | powers,
+    r=st.floats(1.0, 2.0).map(repr),
+    ou_alpha=st.just("1.0") | powers,
+    hnorm=st.just("1.0") | powers,
+    pullback_tol=st.just("0.05") | powers,
+)
+def test_sweep_powers_of_ten_exit_cleanly(mode, mu, r, ou_alpha, hnorm, pullback_tol):
+    """physics.mu, noise.ou_alpha, the profile's hnorm and solver.pullback_tol
+    at 10^k, with r in [1, 2]: an exit code of 0, 2, 3 or 4, only `error:`
+    lines that name what was out of range on stderr, and no numpy warning on
+    the way."""
+    phi = f"phi = random seed=1 hnorm={hnorm}" if mode == "additive" else ""
+    text = SWEEP_RANGE.format(
+        mode=mode, mu=mu, r=r, ou_alpha=ou_alpha, phi=phi, pullback_tol=pullback_tol
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", path, "--out", os.path.join(tmp, "o")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3, 4), lines
+    assert all(line.startswith("error: ") for line in lines)
+    assert not any(line.startswith("error: floating-point range exceeded") for line in lines)

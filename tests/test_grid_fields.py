@@ -141,7 +141,7 @@ def test_snapshot_round_trip(tmp_path, grid2d):
     path = tmp_path / "field.cbff"
     write_field(path, u)
     back = read_field(path)
-    assert back.grid.compatible(u.grid)
+    assert back.grid == u.grid
     assert np.array_equal(back.coeffs, u.coeffs)
     blob = path.read_bytes()
     assert blob[:4] == b"CBFF"

@@ -345,13 +345,11 @@ def test_nonlinear_kernel_matches_convective_reference(dim, n, r, form):
 # The padded transform pair: pruned FFT passes and dense DFT products
 # ---------------------------------------------------------------------------
 
-def _transform_cases(dim, n, dealias):
-    """(grid, half state, m) for every padded lattice the kernels use."""
-    # at dealias >= 2 the advection and damping lattices coincide
-    g = TorusGrid(dim=dim, N=n, dealias_factor=dealias)
-    u = random_field(g, 5, h_norm=1.3).half
-    for m in sorted({n, g.padded_size(max(dealias, 1.5)), g.padded_size(max(dealias, 2.0))}):
-        yield g, u, m
+def _transform_case(dim, n, ratio):
+    """(grid, half state, m) on the lattice padded by ``ratio``: 3/2 and 2 are the
+    advection and damping lattices, 1 and 3 bracket them."""
+    g = TorusGrid(dim=dim, N=n)
+    return g, random_field(g, 5, h_norm=1.3).half, g.padded_size(ratio)
 
 
 def _numpy_pair(g, u, m):
@@ -363,53 +361,54 @@ def _numpy_pair(g, u, m):
     return values, products, g.truncate_half(np.fft.rfftn(products, axes=axes, norm="forward"), m)
 
 
-@pytest.mark.parametrize("dealias", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_pruned_transforms_match_numpy_bitwise(dim, n, dealias):
-    for g, u, m in _transform_cases(dim, n, dealias):
-        want, values, spectrum = _numpy_pair(g, u, m)
-        got = g._pruned_irfft(u, m, np.empty_like(want))
-        assert got.tobytes() == want.tobytes(), m
-        assert g._pruned_rfft(values, m).tobytes() == spectrum.tobytes(), m
+def test_pruned_transforms_match_numpy_bitwise(dim, n, ratio):
+    g, u, m = _transform_case(dim, n, ratio)
+    want, values, spectrum = _numpy_pair(g, u, m)
+    got = g._pruned_irfft(u, m, np.empty_like(want))
+    assert got.tobytes() == want.tobytes()
+    assert g._pruned_rfft(values, m).tobytes() == spectrum.tobytes()
 
 
-@pytest.mark.parametrize("dealias", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_dense_transforms_match_numpy(dim, n, dealias):
+def test_dense_transforms_match_numpy(dim, n, ratio):
     # measured worst case 1.3e-15 of the largest entry
-    for g, u, m in _transform_cases(dim, n, dealias):
-        want, values, spectrum = _numpy_pair(g, u, m)
-        got = g._dense_irfft(u, m, np.empty_like(want))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), m
-        got = g._dense_rfft(values, m)
-        assert got.shape == spectrum.shape
-        assert np.max(np.abs(got - spectrum)) <= 1e-13 * np.max(np.abs(spectrum)), m
-        off = np.ones(g.half_shape, dtype=bool)
-        off[g.half_weight > 0] = False
-        off[(0,) * g.dim] = False  # the mean mode is retained by the transforms
-        assert not np.any(got[:, off])  # +0 or -0 off the retained lattice, like the truncation
+    g, u, m = _transform_case(dim, n, ratio)
+    want, values, spectrum = _numpy_pair(g, u, m)
+    got = g._dense_irfft(u, m, np.empty_like(want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    got = g._dense_rfft(values, m)
+    assert got.shape == spectrum.shape
+    assert np.max(np.abs(got - spectrum)) <= 1e-13 * np.max(np.abs(spectrum))
+    off = np.ones(g.half_shape, dtype=bool)
+    off[g.half_weight > 0] = False
+    off[(0,) * g.dim] = False  # the mean mode is retained by the transforms
+    assert not np.any(got[:, off])  # +0 or -0 off the retained lattice, like the truncation
 
 
 @pytest.mark.parametrize(
-    "dim,n,dealias,path",
+    "dim,n,lattices,path",
     [
-        (2, 32, 1.5, "dense"),  # m = 48 and 64
-        (2, 32, 3.0, "dense"),  # m = 96 on both lattices
-        (3, 16, 1.5, "dense"),  # m = 24 and 32
-        (3, 32, 1.5, "dense"),  # m = 48 and 64
-        (2, 48, 1.5, "pruned"),  # m = 72 and 96
-        (2, 64, 1.5, "pruned"),  # m = 96 and 128
-        (3, 48, 1.0, "pruned"),  # m = 72 and 96
+        (2, 32, (48, 64), "dense"),
+        (2, 32, (96,), "dense"),
+        (3, 16, (24, 32), "dense"),
+        (3, 32, (48, 64), "dense"),
+        (2, 48, (72, 96), "pruned"),
+        (2, 64, (96, 128), "pruned"),
+        (3, 48, (72, 96), "pruned"),
     ],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None,
 )
-def test_public_pair_takes_the_path_the_lattice_picks(dim, n, dealias, path):
-    g = TorusGrid(dim=dim, N=n, dealias_factor=dealias)
+def test_public_pair_takes_the_path_the_lattice_picks(dim, n, lattices, path):
+    g = TorusGrid(dim=dim, N=n)
     assert g.dense == (path == "dense")
     u = random_field(g, 9, h_norm=1.1).half
     other = "pruned" if path == "dense" else "dense"
-    for m in {g.padded_size(max(dealias, 1.5)), g.padded_size(max(dealias, 2.0))}:
+    for m in lattices:
         out = {p: getattr(g, f"_{p}_irfft")(u, m, np.empty((dim,) + (m,) * dim))
                for p in (path, other)}
         got = g.padded_irfft(u, m, np.empty((dim,) + (m,) * dim))
@@ -485,11 +484,11 @@ def _clear_scratch():
 
 
 def test_kernel_results_never_alias_the_scratch():
-    # two grids, and one whose advection and damping lattices coincide
+    # two grids, and one whose damping lattice is the first one's advection lattice
     grids = (
         TorusGrid(dim=2, N=16),
         TorusGrid(dim=3, N=8),
-        TorusGrid(dim=2, N=16, dealias_factor=2.0),
+        TorusGrid(dim=2, N=12),
     )
     cases = [(g, r) for r in (1.0, 2.5, 3.0) for g in grids]
     fresh = {}
@@ -514,8 +513,8 @@ def test_one_scratch_serves_every_grid():
         TorusGrid(dim=3, N=8),
         TorusGrid(dim=2, N=32),
         TorusGrid(dim=3, N=16),
-        TorusGrid(dim=2, N=16, dealias_factor=2.0),
-        TorusGrid(dim=3, N=8, dealias_factor=3.0),
+        TorusGrid(dim=2, N=12),
+        TorusGrid(dim=3, N=12),
     )
     first = [[a.tobytes() for a in _kernel_results(g, 3.0)[0]] for g in grids]
     kept = tuple(_SCRATCH.values())

@@ -1,10 +1,15 @@
 """The scripts under scripts/ load against the current API and run."""
 
 import importlib.util
+import os
+import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+
+import cbflab
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
@@ -77,3 +82,26 @@ def test_artifact_digest_matches_golden(tmp_path, monkeypatch, capsys):
     got = capsys.readouterr().out.splitlines()
     differ = sorted({line.split("  ")[-1] for line in set(got) ^ set(want)})
     assert got == want, f"digests differ for {differ}"
+
+
+def test_golden_digest_skips_on_another_blas_kernel(tmp_path):
+    # the header records the BLAS kernel, so a run on another kernel skips the
+    # byte test and names both kernels instead of failing on its digests
+    script = _load(next(p for p in SCRIPTS if p.name == "artifact_digest.py"))
+    recorded = next(
+        line for line in GOLDEN_DIGEST.read_text().splitlines() if line.startswith("env blas ")
+    )
+    if script.blas_corename() == "unknown" or recorded == "env blas Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=HASWELL cannot change the kernel from {recorded}")
+    package_root = str(Path(cbflab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    report = tmp_path / "report.xml"
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}",
+         f"{__file__}::test_artifact_digest_matches_golden"],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "HASWELL"},
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    skipped = ET.parse(report).getroot().find(".//skipped")
+    assert skipped is not None
+    assert recorded in skipped.get("message") and "env blas Haswell" in skipped.get("message")
