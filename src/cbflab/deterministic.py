@@ -63,7 +63,8 @@ def integrating_factor(grid: TorusGrid, mu: float, h: float) -> np.ndarray:
 
 
 def _tendency(grid, params, noise, ou, t0, f_half):
-    """Half-layout right-hand side of the system ``noise`` transforms, and its CFL velocity.
+    """Half-layout right-hand side of the system ``noise`` transforms, and its CFL
+    velocity (None when the call passes ``cfl=False``, as Heun's corrector does).
 
     With the OU value z frozen at each step's left endpoint, m = eps for
     multiplicative noise and s = eps z for additive noise (each 0 otherwise),
@@ -85,12 +86,12 @@ def _tendency(grid, params, noise, ou, t0, f_half):
         with value_range("physics.mu", "noise.phi", "noise.ou_alpha"):
             phi_drive = alpha * phi - params.mu * (phi * (grid.lambda1 * grid.half_k2))
 
-    def rhs(u, n):
+    def rhs(u, n, cfl=True):
         z = 0.0 if j0 is None else ou.value_at_index(j0 + n)
         shift = add * z
         adv = math.exp(mult * z)
         w = u + shift * phi if shift != 0.0 else u
-        nl, vmax = nonlinear_kernel(grid, w, adv, beta * math.exp(mult * (r - 1.0) * z), r)
+        nl, vmax = nonlinear_kernel(grid, w, adv, beta * math.exp(mult * (r - 1.0) * z), r, cfl)
         out = -nl
         lin = mult * alpha * z
         if lin != 0.0:
@@ -103,7 +104,7 @@ def _tendency(grid, params, noise, ou, t0, f_half):
         if shift != 0.0:
             out += shift * phi_drive
         # advective CFL sees the reconstructed velocity, e^{eps z} v when multiplicative
-        return out, adv * vmax
+        return out, adv * vmax if cfl else None
 
     return rhs
 
@@ -194,14 +195,15 @@ def drive(
                     f"{dx_limit / vmax:.3e} at t = {t_arr[n]:.6g} (max |u| = {vmax:.6g})"
                 )
             mid = ex * (u + h * g1)
-            g2, _ = rhs(mid, n)
+            g2, _ = rhs(mid, n, cfl=False)
             prev = u
             u = ex * (u + (0.5 * h) * g1) + (0.5 * h) * g2
             i = n + 1
             record(i, u)
             if not np.isfinite(hn[i]) or hn[i] > blowup_guard:
                 raise BlowUpError(
-                    f"blow-up detected at t = {t_arr[i]:.6g}: |u|_H = {hn[i]:.6g}",
+                    f"solver.blowup_guard: blow-up detected at t = {t_arr[i]:.6g}: "
+                    f"|u|_H = {hn[i]:.6g}",
                     t=float(t_arr[i]),
                     h_norm=float(hn[i]),
                 )

@@ -109,7 +109,8 @@ def fit_rate(records, mode: str, r: float) -> RateFit:
     eps_levels = sorted({rec.epsilon for rec in usable}, reverse=True)
     if len(eps_levels) < 3:
         raise ValidationError(
-            f"fit: need >= 3 epsilon levels with converged samples, got {len(eps_levels)}"
+            "solver.t_pull, solver.pullback_tol: fit: need >= 3 epsilon levels with "
+            f"converged samples, got {len(eps_levels)}"
         )
     log_means, log_spreads, counts = [], [], []
     for eps in eps_levels:

@@ -21,12 +21,15 @@ retained coefficients are packed without their Nyquist rows and column; one
 complex product per leading axis maps them to and from the m points, with
 matrices that hold only the retained frequencies, and one real cos/sin
 product does the last-axis c2r/r2c step.  The matrices are cached per
-(N, m) on first use.  The results agree with ``irfftn(pad_half(...))`` and
-``truncate_half(rfftn(...))`` (each with ``norm="forward"``) to round-off
-(about 1e-15 of the largest entry), not bit for bit.  Every product is cut
-into chunks below the size at which OpenBLAS splits a gemm across threads
-(``MAX_PRODUCT``), so the bytes and the speed do not depend on the BLAS
-thread count.
+(N, m) on first use.  A ``DensePlan`` per lattice and leading shape holds
+them with the stage arrays carved from the scratch and the chunked operand
+views of every product; it is built once and rebuilt only when the scratch
+is replaced (grown or cleared).  The results agree with
+``irfftn(pad_half(...))`` and ``truncate_half(rfftn(...))`` (each with
+``norm="forward"``) to round-off (about 1e-15 of the largest entry), not
+bit for bit.  Every product is cut into chunks below the size at which
+OpenBLAS splits a gemm across threads (``MAX_PRODUCT``), so the bytes and
+the speed do not depend on the BLAS thread count.
 
 On larger lattices the pair is pruned FFT passes.  The inverse writes the
 corner blocks into a zeroed complex scratch and runs the leading-axis inverse
@@ -231,7 +234,11 @@ class TorusGrid:
     def symmetrize_plane(self, half: np.ndarray) -> None:
         """Make the zero-frequency plane of a half-layout array exactly Hermitian, in place."""
         plane = half[..., 0]
-        plane[...] = 0.5 * (plane + np.conj(_negate_axes(plane, range(1 - self.dim, 0))))
+        mirror = _negate_axes(plane, range(1 - self.dim, 0))  # a new array
+        np.conjugate(mirror, out=mirror)
+        mirror += plane
+        mirror *= 0.5
+        plane[...] = mirror
 
     # -- padded-lattice plumbing ---------------------------------------------
     #
@@ -289,7 +296,7 @@ class TorusGrid:
         if not out.flags.c_contiguous:
             raise ValueError("padded_irfft needs a C-contiguous out")
         if self.dense:
-            return self._dense_irfft(coeffs, m, out)
+            return self.dense_plan(m, coeffs.shape[: -self.dim]).irfft(coeffs, out)
         return self._pruned_irfft(coeffs, m, out)
 
     def truncated_rfft(self, values: np.ndarray, m: int) -> np.ndarray:
@@ -300,8 +307,18 @@ class TorusGrid:
         ``dense``).  The result is a new array; it does not alias the scratch.
         """
         if self.dense:
-            return self._dense_rfft(values, m)
+            return self.dense_plan(m, values.shape[: -self.dim]).rfft(values)
         return self._pruned_rfft(values, m)
+
+    def dense_plan(self, m: int, lead: tuple) -> DensePlan:
+        """The dense pair between this lattice and the m-lattice for arrays with
+        leading shape ``lead``, built on first use and again after the scratch
+        is replaced."""
+        key = (self.N, self.dim, m, lead)
+        plan = _PLANS.get(key)
+        if plan is None or plan.base is not _SCRATCH[complex]:
+            plan = _PLANS[key] = DensePlan(self.N, self.dim, m, lead)
+        return plan
 
     def _pruned_irfft(self, coeffs: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
         """``padded_irfft`` by pruned FFT passes, bit for bit ``irfftn(pad_half(...))``."""
@@ -319,42 +336,6 @@ class TorusGrid:
             for view in views:
                 np.fft.fft(spec[view], axis=axis, out=spec[view], norm="forward")
         return self.truncate_half(spec, m)
-
-    # The dense pair works on the retained lattice packed without its Nyquist
-    # rows and column: that is the rfft half lattice of size N - 1 with nothing
-    # padded, so ``pad_half``/``truncate_half`` at size N - 1 pack and unpack it.
-
-    def _dense_irfft(self, coeffs: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
-        """``padded_irfft`` as one complex product per leading axis, innermost
-        first, and one real cos/sin product for the c2r step."""
-        n, dim = self.N, self.dim
-        lead = coeffs.shape[: -dim]
-        inv, _, last_inv, _ = _dft_matrices(n, m)
-        shapes = [lead + (n - 1,) * (dim - 1) + (n // 2,)]
-        for axis in range(-2, -dim - 1, -1):
-            shapes.append(shapes[-1][:axis] + (m,) + shapes[-1][axis + 1 :])
-        bufs = _carve(shapes)
-        spec = self.pad_half(coeffs, n - 1, bufs[0])
-        for axis, nxt in zip(range(-2, -dim - 1, -1), bufs[1:]):
-            spec = _contract(inv, spec, axis, nxt)
-        _row_chunks(spec.view(float).reshape(-1, n), last_inv, out.reshape(-1, m))
-        return out
-
-    def _dense_rfft(self, values: np.ndarray, m: int) -> np.ndarray:
-        """``truncated_rfft`` as one real cos/sin product for the r2c step and
-        one complex product per leading axis, outermost first."""
-        n, dim = self.N, self.dim
-        lead = values.shape[: -dim]
-        _, fwd, _, last_fwd = _dft_matrices(n, m)
-        shapes = [lead + (m,) * (dim - 1) + (n // 2,)]
-        for axis in range(-dim, -1):
-            shapes.append(shapes[-1][:axis] + (n - 1,) + shapes[-1][axis + 1 :])
-        bufs = _carve(shapes)
-        spec = bufs[0]
-        _row_chunks(values.reshape(-1, m), last_fwd, spec.view(float).reshape(-1, n))
-        for axis, nxt in zip(range(-dim, -1), bufs[1:]):
-            spec = _contract(fwd, spec, axis, nxt)
-        return self.truncate_half(spec, n - 1)
 
     def to_phys(self, coeffs: np.ndarray, factor: float = 1.0) -> tuple:
         """Collocation values of the trig polynomial on a padded lattice.
@@ -400,20 +381,71 @@ def scratch(dtype, shape: tuple) -> np.ndarray:
     return _SCRATCH[dtype][:size].reshape(shape)
 
 
-def _carve(shapes: list) -> list:
-    """Views of the complex process scratch, one per shape, alternating between
-    two regions: each view may overwrite the one two before it."""
-    sizes = [math.prod(s) for s in shapes]
-    first = max(sizes[0::2])
-    flat = scratch(complex, (first + max(sizes[1::2], default=0),))
-    return [
-        flat[(i % 2) * first :][:size].reshape(shape)
-        for i, (shape, size) in enumerate(zip(shapes, sizes))
-    ]
+class DensePlan:
+    """The dense pair on one lattice and leading shape, with every view it runs on.
+
+    The pair works on the retained lattice packed without its Nyquist rows
+    and column: the rfft half lattice of size n - 1 with nothing padded, which
+    the n - 1 blocks of ``_blocks`` cover.  The inverse maps the packed array
+    to the m points through one stage per leading axis, innermost first; the
+    forward transform runs back through the same stage arrays in reverse.
+    Those arrays alternate between two regions of the complex scratch, carved
+    in one request, so the plan is valid until that scratch is replaced
+    (``base``).  The matmul operands are views built here with the chunk cuts
+    of ``MAX_PRODUCT``, so a call runs only the copies and the products.
+    """
+
+    def __init__(self, n: int, dim: int, m: int, lead: tuple):
+        inv, fwd, last_inv, last_fwd = _dft_matrices(n, m)
+        shapes = [lead + (n - 1,) * (dim - 1) + (n // 2,)]
+        for axis in range(-2, -dim - 1, -1):
+            shapes.append(shapes[-1][:axis] + (m,) + shapes[-1][axis + 1 :])
+        sizes = [math.prod(s) for s in shapes]
+        first = max(sizes[0::2])
+        flat = scratch(complex, (first + max(sizes[1::2], default=0),))
+        stages = [flat[(i % 2) * first :][:size].reshape(shape)
+                  for i, (shape, size) in enumerate(zip(shapes, sizes))]
+        self.base = _SCRATCH[complex]
+        self.half = lead + (n,) * (dim - 1) + (n // 2 + 1,)
+        blocks = _blocks(n, dim, n - 1)
+        self.pack = [(small, stages[0][packed]) for small, packed in blocks]
+        self.inverse = [_operands(inv, stages[i], axis, stages[i + 1])
+                        for i, axis in enumerate(range(-2, -dim - 1, -1))]
+        self.forward = [_operands(fwd, stages[dim - 1 - i], axis, stages[dim - 2 - i])
+                        for i, axis in enumerate(range(-dim, -1))]
+        # the c2r/r2c step: a real product per chunk of rows of the last stage
+        rows = sizes[-1] * 2 // n
+        height = _chunk_width(last_inv.size, rows, 8 * MAX_PRODUCT)
+        self.cut = (rows // height, height, m)
+        self.points = stages[-1].view(float).reshape(rows // height, height, n)
+        self.last_inv, self.last_fwd = last_inv, last_fwd
+
+    def irfft(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``padded_irfft`` into the C-contiguous ``out``."""
+        for small, packed in self.pack:
+            packed[...] = coeffs[small]
+        for matrix, spec, nxt in self.inverse:
+            np.matmul(matrix, spec, out=nxt)
+        np.matmul(self.points, self.last_inv, out=out.reshape(self.cut))
+        return out
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """``truncated_rfft``, into a new half-layout array."""
+        np.matmul(values.reshape(self.cut), self.last_fwd, out=self.points)
+        for matrix, spec, nxt in self.forward:
+            np.matmul(matrix, spec, out=nxt)
+        out = np.zeros(self.half, dtype=complex)
+        for small, packed in self.pack:
+            out[small] = packed
+        return out
 
 
-def _contract(matrix: np.ndarray, spec: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """``matrix`` applied along ``axis`` of ``spec``, into ``out``.
+#: The dense plan of each (n, dim, m, lead), see ``TorusGrid.dense_plan``.
+_PLANS = {}
+
+
+def _operands(matrix: np.ndarray, spec: np.ndarray, axis: int, out: np.ndarray) -> tuple:
+    """``np.matmul`` operands that apply ``matrix`` along ``axis`` of ``spec`` into ``out``.
 
     One matrix product per index of the axes before ``axis`` and per column
     chunk of the axes after it (see ``MAX_PRODUCT``).
@@ -423,20 +455,11 @@ def _contract(matrix: np.ndarray, spec: np.ndarray, axis: int, out: np.ndarray) 
     outer, inner = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
     width = _chunk_width(rows * depth, inner)
     cut = (outer, inner // width, width)
-    np.matmul(
+    return (
         matrix,
         spec.reshape(cut[:1] + (depth,) + cut[1:]).swapaxes(1, 2),
-        out=out.reshape(cut[:1] + (rows,) + cut[1:]).swapaxes(1, 2),
+        out.reshape(cut[:1] + (rows,) + cut[1:]).swapaxes(1, 2),
     )
-    return out
-
-
-def _row_chunks(a: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
-    """``a @ matrix`` into ``out`` for real operands, one product per chunk of rows of ``a``."""
-    rows = a.shape[0]
-    height = _chunk_width(matrix.size, rows, 8 * MAX_PRODUCT)
-    np.matmul(a.reshape(rows // height, height, -1), matrix,
-              out=out.reshape(rows // height, height, -1))
 
 
 @lru_cache(maxsize=64)

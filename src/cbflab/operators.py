@@ -13,12 +13,15 @@ The padded fields, products and damping weights live in the one process
 scratch (`grid.scratch`) and go through the grid's normalized transform pair,
 which maps coefficients to point values and back with no scaling left to the
 caller: dense DFT products on small lattices and pruned FFT passes on larger
-ones (see `grid`).  A warm call allocates only its half-layout results, which
-never alias the scratch.  The kernels are therefore not reentrant; cbflab
-runs one thread per process.
+ones (see `grid`).  A warm call allocates only half-layout arrays, which
+never alias the scratch: its results and one temporary for each of the
+gradient, projector and symmetrization loops.  The kernels are therefore
+not reentrant; cbflab runs one thread per process.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -90,8 +93,9 @@ def stokes_apply(u: SpectralVelocity) -> SpectralVelocity:
 def _project_half(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     """Apply mask (I - k k^T / |k|^2) to a half-layout vector field."""
     out = grid.projector[:, 0] * half[0]
+    tmp = np.empty_like(out)
     for j in range(1, grid.dim):
-        out += grid.projector[:, j] * half[j]
+        out += np.multiply(grid.projector[:, j], half[j], out=tmp)
     return out
 
 
@@ -104,8 +108,9 @@ def _sum_squares(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
-    """Unprojected, dealiased scale * d_i(u_i v_j) in the half layout, and max |u|.
+def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0, vmax=True):
+    """Unprojected, dealiased scale * d_i(u_i v_j) in the half layout, and max |u|
+    (None unless ``vmax``).
 
     For divergence-free u this is (u . grad) v.  The products are taken on
     the 3/2-rule lattice; with v = u only the dim (dim + 1) / 2 distinct ones
@@ -125,18 +130,20 @@ def _advection_half(grid: TorusGrid, u_half, v_half=None, scale: float = 1.0):
     v = u
     if v_half is not None:
         v = grid.padded_irfft(v_half, m, work[dim : 2 * dim])
-    # the product slots are free until the products are formed
-    vmax = float(np.sqrt(np.max(_sum_squares(u, prods[0], prods[1]))))
+    speed = None
+    if vmax:  # the product slots are free until the products are formed
+        speed = math.sqrt(_sum_squares(u, prods[0], prods[1]).max())
     for p, (i, j) in enumerate(pairs):
         np.multiply(u[i], v[j], out=prods[p])
     flux = grid.truncated_rfft(prods, m)
     grad = (2j * np.pi / grid.L * scale) * grid.half_k
     out = np.zeros((dim,) + grid.half_shape, dtype=complex)
+    tmp = np.empty(grid.half_shape, dtype=complex)
     for p, (i, j) in enumerate(pairs):
-        out[j] += grad[i] * flux[p]
+        out[j] += np.multiply(grad[i], flux[p], out=tmp)
         if v_half is None and i != j:
-            out[i] += grad[j] * flux[p]
-    return out, vmax
+            out[i] += np.multiply(grad[j], flux[p], out=tmp)
+    return out, speed
 
 
 def _damping_half(grid: TorusGrid, u_half, r: float, scale: float = 1.0):
@@ -155,7 +162,8 @@ def _damping_half(grid: TorusGrid, u_half, r: float, scale: float = 1.0):
     return out
 
 
-def nonlinear_kernel(grid: TorusGrid, u_half, adv_scale: float, damp_scale: float, r: float):
+def nonlinear_kernel(grid: TorusGrid, u_half, adv_scale: float, damp_scale: float, r: float,
+                     vmax: bool = True):
     """P(adv_scale B(u) + damp_scale |u|^(r-1) u) for a half-layout state u.
 
     The one nonlinear tendency of every integrator.  Advection comes from
@@ -163,9 +171,9 @@ def nonlinear_kernel(grid: TorusGrid, u_half, adv_scale: float, damp_scale: floa
     when ``damp_scale`` is 0, and without transforms at r = 1); the sum has
     its zero-frequency plane symmetrized, so the state stays exactly
     Hermitian, and is projected once.  Returns (tendency, vmax) with vmax the
-    max pointwise |u| on the 3/2 lattice.
+    max pointwise |u| on the 3/2 lattice, or None when ``vmax`` is false.
     """
-    out, vmax = _advection_half(grid, u_half, scale=adv_scale)
+    out, vmax = _advection_half(grid, u_half, scale=adv_scale, vmax=vmax)
     if damp_scale != 0.0:
         if r == 1.0:
             out += damp_scale * u_half

@@ -260,7 +260,8 @@ def test_blowup_prints_only_its_error_line(tmp_path, capsys, dim, value, change)
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 4
-    assert err.startswith("error: blow-up detected") and err.count("\n") == 1
+    assert err.startswith("error: solver.blowup_guard: blow-up detected at t = ")
+    assert err.count("\n") == 1
 
 
 def test_simulate_snapshot_cadence(tmp_path):

@@ -25,8 +25,10 @@ from cbflab.operators import (
     bilinear_kernel,
     damping_kernel,
     h_norm_kernel,
+    nonlinear_kernel,
     stokes_kernel,
 )
+from cbflab.params import SolverSettings
 from cbflab.random_pde import _reconstruct
 
 
@@ -130,6 +132,27 @@ def test_cfl_guard_aborts(grid2d_small):
     p = PhysicsParams(mu=1e-3, beta=0.0, r=1.0)
     with pytest.raises(CFLViolationError):
         simulate(u0, p, T=10.0, h=1.0)
+
+
+def test_corrector_skips_vmax_and_the_cfl_abort_holds():
+    # Heun's corrector asks for no vmax; the tendency bytes do not depend on it
+    g = TorusGrid(dim=2, N=16)
+    u0 = random_field(g, 4, h_norm=0.1).half
+    for u in (u0, random_field(g, 9, h_norm=2.0).half):
+        for r in (1.0, 2.5, 3.0):
+            tendency, vmax = nonlinear_kernel(g, u, 0.9, 0.7, r)
+            bare, none = nonlinear_kernel(g, u, 0.9, 0.7, r, vmax=False)
+            assert vmax > 0.0 and none is None
+            assert bare.tobytes() == tendency.tobytes()
+    # strong forcing speeds the flow up until the predictor's vmax trips the guard
+    f = single_mode_field(g, (1, 1), [0.0, 1j], h_norm=20.0)
+    p = PhysicsParams(mu=0.1, beta=0.1, r=3.0, forcing=f)
+    with pytest.raises(CFLViolationError, match=r" at t = 1\.05 \(max \|u\| = 3\.1557\)$"):
+        deterministic.drive(g, u0, p, None, 0.05, 200)
+    end = deterministic.drive(g, u0, p, None, 0.05, 21).final_state.half
+    vmax = nonlinear_kernel(g, end, 1.0, p.beta, p.r)[1]
+    assert f"{vmax:.6g}" == "3.1557"
+    assert 0.05 > SolverSettings.cfl_safety * g.dx / vmax
 
 
 def test_blowup_guard(grid2d_small):

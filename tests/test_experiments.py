@@ -55,7 +55,7 @@ def test_fit_invariant_under_distance_rescale(scale, slope):
 
 def test_fit_requires_enough_levels_and_samples():
     recs = make_records([0.1, 0.05], lambda e, s: e)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^solver\.t_pull, solver\.pullback_tol: fit: "):
         fit_rate(recs, "multiplicative", 3.0)
     recs = make_records([0.1, 0.05, 0.025], lambda e, s: e, n_seeds=1)
     with pytest.raises(ValidationError):

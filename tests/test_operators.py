@@ -27,7 +27,7 @@ from cbflab import (
     trilinear_b,
     v_norm,
 )
-from cbflab.grid import _SCRATCH
+from cbflab.grid import _PLANS, _SCRATCH
 from cbflab.operators import (
     a_norm,
     bilinear_kernel,
@@ -372,6 +372,21 @@ def test_pruned_transforms_match_numpy_bitwise(dim, n, ratio):
     assert g._pruned_rfft(values, m).tobytes() == spectrum.tobytes()
 
 
+def _dense_irfft(g, coeffs, m, out):
+    return g.dense_plan(m, coeffs.shape[: -g.dim]).irfft(coeffs, out)
+
+
+def _dense_rfft(g, values, m):
+    return g.dense_plan(m, values.shape[: -g.dim]).rfft(values)
+
+
+#: Each path of the padded pair, whichever one the lattice picks.
+_PATHS = {
+    "dense": (_dense_irfft, _dense_rfft),
+    "pruned": (TorusGrid._pruned_irfft, TorusGrid._pruned_rfft),
+}
+
+
 @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("dim", [2, 3])
@@ -379,9 +394,9 @@ def test_dense_transforms_match_numpy(dim, n, ratio):
     # measured worst case 1.3e-15 of the largest entry
     g, u, m = _transform_case(dim, n, ratio)
     want, values, spectrum = _numpy_pair(g, u, m)
-    got = g._dense_irfft(u, m, np.empty_like(want))
+    got = _dense_irfft(g, u, m, np.empty_like(want))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    got = g._dense_rfft(values, m)
+    got = _dense_rfft(g, values, m)
     assert got.shape == spectrum.shape
     assert np.max(np.abs(got - spectrum)) <= 1e-13 * np.max(np.abs(spectrum))
     off = np.ones(g.half_shape, dtype=bool)
@@ -409,12 +424,12 @@ def test_public_pair_takes_the_path_the_lattice_picks(dim, n, lattices, path):
     u = random_field(g, 9, h_norm=1.1).half
     other = "pruned" if path == "dense" else "dense"
     for m in lattices:
-        out = {p: getattr(g, f"_{p}_irfft")(u, m, np.empty((dim,) + (m,) * dim))
+        out = {p: _PATHS[p][0](g, u, m, np.empty((dim,) + (m,) * dim))
                for p in (path, other)}
         got = g.padded_irfft(u, m, np.empty((dim,) + (m,) * dim))
         assert got.tobytes() == out[path].tobytes() != out[other].tobytes()
         values = got * got[::-1]
-        spectra = {p: getattr(g, f"_{p}_rfft")(values, m).tobytes() for p in (path, other)}
+        spectra = {p: _PATHS[p][1](g, values, m).tobytes() for p in (path, other)}
         assert g.truncated_rfft(values, m).tobytes() == spectra[path] != spectra[other]
 
 
@@ -524,18 +539,43 @@ def test_one_scratch_serves_every_grid():
         assert [a.tobytes() for a in results] == want
 
 
+def test_dense_plans_follow_the_scratch_when_it_is_replaced():
+    g2, g3 = TorusGrid(dim=2, N=32), TorusGrid(dim=3, N=32)
+    # the plans the 2D kernels run on: (m, lead) of the advection and damping pairs
+    used = [(32, 2, 48, (2,)), (32, 2, 48, (3,)), (32, 2, 48, (4,)), (32, 2, 64, (2,))]
+    _clear_scratch()
+    first, old = _kernel_results(g2, 3.0)
+    _, grown = _kernel_results(g3, 3.0)
+    assert grown[1].size > old[1].size  # the 3D lattice replaced the complex scratch
+    after_growth, _ = _kernel_results(g2, 3.0)
+    assert all(_PLANS[key].base is grown[1] for key in used)
+    _clear_scratch()
+    cleared, new = _kernel_results(g2, 3.0)
+    # a plan built before the scratch grew again is rebuilt on its next call
+    again, now = _kernel_results(g2, 3.0)
+    assert now[1].size < grown[1].size
+    assert all(_PLANS[key].base is now[1] for key in used)
+    want = [a.tobytes() for a in first]
+    for results in (first, after_growth, cleared, again):
+        assert [a.tobytes() for a in results] == want
+        for a in results:
+            assert not any(np.shares_memory(a, s) for s in old + grown + new + now)
+
+
 def test_warm_nonlinear_kernel_allocation_is_bounded():
-    g = TorusGrid(dim=3, N=16)
-    u = random_field(g, 7, h_norm=1.5).half
-    nonlinear_kernel(g, u, 1.0, 1.0, 3.0)
-    tracemalloc.start()
-    try:
+    # 3D: measured 0.54 MB on the scratch; fresh padded temporaries took 2.8 MB.
+    # 2D N=32: measured 86.8 KB, five half-layout fields of 17 KB.
+    for dim, n, bound in ((3, 16, 1 << 20), (2, 32, 96 << 10)):
+        g = TorusGrid(dim=dim, N=n)
+        u = random_field(g, 7, h_norm=1.5).half
         nonlinear_kernel(g, u, 1.0, 1.0, 3.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # measured 0.54 MB on the scratch; fresh padded temporaries took 2.8 MB
-    assert peak < 1 << 20
+        tracemalloc.start()
+        try:
+            nonlinear_kernel(g, u, 1.0, 1.0, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (dim, n)
 
 
 # ---------------------------------------------------------------------------

@@ -46,15 +46,25 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     script = _load(next(p for p in SCRIPTS if p.name == "kernel_timing.py"))
     monkeypatch.setattr(sys, "argv", ["kernel_timing.py", "1"])
     script.main()
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert [row.split()[:3] for row in rows] == [
-        [f"{dim}D", f"N={n}", f"r={r:g}"] for dim, n in script.CASES for r in script.EXPONENTS
+    lines = capsys.readouterr().out.splitlines()
+    by_r = [[f"{dim}D", f"N={n}", f"r={r:g}"] for dim, n in script.CASES for r in script.EXPONENTS]
+    by_m = [
+        [f"{dim}D", f"N={n}", f"m={cbflab.TorusGrid(dim=dim, N=n).padded_size(pad)}"]
+        for dim, n in script.CASES for pad in script.PADS
     ]
-    for row, (dim, n) in zip(rows, [c for c in script.CASES for _ in script.EXPONENTS]):
-        path, *numbers = row.split()[3:]
-        assert path == {(2, 32): "dense", (2, 64): "fft", (3, 16): "dense"}[dim, n]
-        us, peak_kb, faults = map(float, numbers)
-        assert us > 0.0 and peak_kb > 0.0 and faults >= 0.0
+    labels = {"nonlinear_kernel": by_r, "padded_irfft + truncated_rfft": by_m,
+              "drive, one Heun step": by_r}
+    assert [title for title, _ in script.TABLES] == list(labels)
+    for title, want in labels.items():
+        assert lines[0] == f"{title}, 1 calls per case"
+        rows, lines = lines[2 : 2 + len(want)], lines[2 + len(want) :]
+        assert [row.split()[:3] for row in rows] == want
+        for row, (dim, n) in zip(rows, [c for c in script.CASES for _ in range(2)]):
+            path, *numbers = row.split()[3:]
+            assert path == {(2, 32): "dense", (2, 64): "fft", (3, 16): "dense"}[dim, n]
+            us, peak_kb, faults = map(float, numbers)
+            assert us > 0.0 and peak_kb > 0.0 and faults >= 0.0
+    assert lines == []
 
 
 def test_run_contraction_experiment_runs(monkeypatch, capsys):
