@@ -373,10 +373,12 @@ def scratch(dtype, shape: tuple) -> np.ndarray:
 
     Every request of a dtype shares the same memory, so the contents hold
     only until the next user of that dtype writes; callers copy out anything
-    they return.
+    they return.  Growing an array drops every ``DensePlan``, whose views
+    would otherwise keep the outgrown one alive.
     """
     size = math.prod(shape)
     if _SCRATCH[dtype].size < size:
+        _PLANS.clear()
         _SCRATCH[dtype] = np.empty(size, dtype=dtype)
     return _SCRATCH[dtype][:size].reshape(shape)
 

@@ -551,9 +551,10 @@ def test_dense_plans_follow_the_scratch_when_it_is_replaced():
     assert all(_PLANS[key].base is grown[1] for key in used)
     _clear_scratch()
     cleared, new = _kernel_results(g2, 3.0)
-    # a plan built before the scratch grew again is rebuilt on its next call
+    # each growth dropped the plans before it, so none sits on an outgrown array
+    assert all(plan.base is new[1] for plan in _PLANS.values())
     again, now = _kernel_results(g2, 3.0)
-    assert now[1].size < grown[1].size
+    assert now[1] is new[1] and now[1].size < grown[1].size
     assert all(_PLANS[key].base is now[1] for key in used)
     want = [a.tobytes() for a in first]
     for results in (first, after_growth, cleared, again):
